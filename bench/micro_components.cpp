@@ -151,22 +151,44 @@ void BM_GbtCostModelPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_GbtCostModelPredict);
 
-void BM_NeuralSurrogatePredict(benchmark::State& state) {
-  Rng rng(5);
-  auto configs = random_configs(128);
+/// 128 measured configs as surrogate training data (features, scaled GFLOPS).
+struct SurrogateData {
   std::vector<linalg::Vector> rows;
   linalg::Vector y;
-  for (const auto& c : configs) {
-    rows.push_back(searchspace::config_features(conv_task(), c));
-    auto e = gpusim::estimate(conv_task(), c, gpu());
-    y.push_back(e.valid ? e.gflops / 1000.0 : 0.0);
+  SurrogateData() {
+    for (const auto& c : random_configs(128)) {
+      rows.push_back(searchspace::config_features(conv_task(), c));
+      auto e = gpusim::estimate(conv_task(), c, gpu());
+      y.push_back(e.valid ? e.gflops / 1000.0 : 0.0);
+    }
   }
-  core::NeuralSurrogate surrogate(rows[0].size(), rng);
-  surrogate.fit(linalg::Matrix::from_rows(rows), y, rng);
+};
+
+void BM_NeuralSurrogatePredict(benchmark::State& state) {
+  Rng rng(5);
+  SurrogateData data;
+  core::NeuralSurrogate surrogate(data.rows[0].size(), rng);
+  surrogate.fit(linalg::Matrix::from_rows(data.rows), data.y, rng);
   std::size_t i = 0;
-  for (auto _ : state) benchmark::DoNotOptimize(surrogate.predict(rows[i++ % 128]));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(surrogate.predict(data.rows[i++ % 128]));
 }
 BENCHMARK(BM_NeuralSurrogatePredict);
+
+void BM_NeuralSurrogateFit(benchmark::State& state) {
+  // One online refit (Algorithm 1's per-round surrogate update) on 128
+  // measured configs: every ensemble member, every epoch.
+  Rng rng(5);
+  SurrogateData data;
+  const linalg::Matrix x = linalg::Matrix::from_rows(data.rows);
+  core::NeuralSurrogate surrogate(x.cols(), rng);
+  for (auto _ : state) {
+    surrogate.fit(x, data.y, rng);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(x.rows()));
+}
+BENCHMARK(BM_NeuralSurrogateFit);
 
 // ---- search machinery ----
 
@@ -219,6 +241,23 @@ void BM_MetaOptimizerScore(benchmark::State& state) {
     benchmark::DoNotOptimize(meta.score(f, bp, derived[i++ % 64]));
 }
 BENCHMARK(BM_MetaOptimizerScore);
+
+void BM_MetaOptimizerScoreBatch(benchmark::State& state) {
+  // One annealing step's fresh candidates through one batched forward pass;
+  // items/s compares per candidate with BM_MetaOptimizerScore.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto bp = setup().artifacts.encoder->encode(gpu());
+  std::vector<linalg::Vector> derived;
+  for (const auto& c : random_configs(n))
+    derived.push_back(core::MetaOptimizer::derived_block(conv_task(), c));
+  std::vector<std::span<const double>> spans(derived.begin(), derived.end());
+  std::vector<core::MetaFeatures> features(
+      n, {.surrogate_mean = 0.5, .surrogate_std = 0.1, .prior_z = 0.0, .progress = 0.5});
+  const auto& meta = *setup().artifacts.meta;
+  for (auto _ : state) benchmark::DoNotOptimize(meta.score_batch(features, bp, spans));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_MetaOptimizerScoreBatch)->Arg(8)->Arg(64);
 
 }  // namespace
 

@@ -182,12 +182,29 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
     double prior_score = 0.0;
     NeuralSurrogate::Prediction pred;
     linalg::Vector derived;  ///< meta-optimizer kernel-feature block
+    double meta = 0.0;       ///< acquisition score in the annealing energy
   };
   std::unordered_map<Config, Scored, searchspace::ConfigHash> memo;
+
+  // Fixed for the round: no measurement lands while it is proposed.
+  double progress0 = std::min(
+      1.0, static_cast<double>(measured_configs_.size()) /
+               static_cast<double>(std::max<std::size_t>(1, options_.expected_trials)));
+  double prior_w =
+      options_.use_prior ? options_.prior_sa_weight * (1.0 - progress0) : 0.0;
+  // Early in the search the online surrogate is immature; the meta-learned
+  // acquisition carries the offline, Blueprint-conditioned knowledge of the
+  // space into the annealing energy (H parameterizes the surrogate, §3.1);
+  // its influence decays as real measurements accumulate.
+  double meta_w = options_.use_meta ? 0.6 * (1.0 - progress0) : 0.0;
+
   // Memoize every config in `cs` that has no entry yet, batched: features,
   // prior scores and meta blocks fan across the pool; the surrogate sees one
-  // packed matrix. predict_batch rows are bit-identical to per-config
-  // predict (shared dot kernel), so batching does not change any score.
+  // packed matrix, and so does the acquisition net (its inputs — progress0,
+  // the prior z-scale and the Blueprint — are fixed for the round, so a
+  // config's energy term is computed once, not once per visit). Batched
+  // rows are bit-identical to per-config predict/score (shared dot tree),
+  // so batching does not change any score.
   auto score_fresh = [&](const std::vector<Config>& cs) {
     std::vector<std::pair<const Config*, Scored*>> fresh;
     for (const auto& c : cs) {
@@ -210,6 +227,21 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
     });
     auto preds = surrogate_.predict_batch(linalg::Matrix::from_rows(rows));
     for (std::size_t i = 0; i < fresh.size(); ++i) fresh[i].second->pred = preds[i];
+    if (meta_w <= 0.0) return;
+    std::vector<MetaFeatures> features(fresh.size());
+    std::vector<std::span<const double>> derived(fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      const Scored& s = *fresh[i].second;
+      features[i] = {.surrogate_mean = s.pred.mean,
+                     .surrogate_std = s.pred.std,
+                     .prior_z = options_.use_prior
+                                    ? (s.prior_score - prior_mean_) / prior_std_
+                                    : 0.0,
+                     .progress = progress0};
+      derived[i] = s.derived;
+    }
+    auto meta = artifacts_.meta->score_batch(features, blueprint_, derived);
+    for (std::size_t i = 0; i < fresh.size(); ++i) fresh[i].second->meta = meta[i];
   };
   // Read-only lookup for configs known to be memoized (everything the
   // annealer returned). Safe to call from parallel loops.
@@ -224,41 +256,21 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
   std::vector<Config> init;
   if (!best_config_.empty()) init.push_back(best_config_);
   if (options_.use_prior) init.push_back(prior_->sample(rng_));
-  double progress0 = std::min(
-      1.0, static_cast<double>(measured_configs_.size()) /
-               static_cast<double>(std::max<std::size_t>(1, options_.expected_trials)));
-  double prior_w =
-      options_.use_prior ? options_.prior_sa_weight * (1.0 - progress0) : 0.0;
-  // Early in the search the online surrogate is immature; the meta-learned
-  // acquisition carries the offline, Blueprint-conditioned knowledge of the
-  // space into the annealing energy (H parameterizes the surrogate, §3.1);
-  // its influence decays as real measurements accumulate.
-  double meta_w = options_.use_meta ? 0.6 * (1.0 - progress0) : 0.0;
-  tuning::BatchScoreFn energy_batch =
-      [this, prior_w, meta_w, progress0, &score_fresh,
-       &memo](const std::vector<Config>& cs) {
-        score_fresh(cs);
-        std::vector<double> out(cs.size());
-        // Memo is fully populated for `cs`; this loop only reads it.
-        parallel_for(0, cs.size(), 8, [&](std::size_t i) {
-          const Scored& sc = memo.find(cs[i])->second;
-          double energy = sc.pred.mean;
-          if (prior_w > 0.0)
-            energy += prior_w * 0.1 * (sc.prior_score - prior_mean_) / prior_std_;
-          if (meta_w > 0.0) {
-            MetaFeatures f;
-            f.surrogate_mean = sc.pred.mean;
-            f.surrogate_std = sc.pred.std;
-            f.prior_z = options_.use_prior
-                            ? (sc.prior_score - prior_mean_) / prior_std_
-                            : 0.0;
-            f.progress = progress0;
-            energy += meta_w * artifacts_.meta->score(f, blueprint_, sc.derived);
-          }
-          out[i] = energy;
-        });
-        return out;
-      };
+  tuning::BatchScoreFn energy_batch = [this, prior_w, meta_w, &score_fresh,
+                                       &memo](const std::vector<Config>& cs) {
+    score_fresh(cs);
+    // Memo is fully populated for `cs`; this loop only reads it.
+    std::vector<double> out(cs.size());
+    for (std::size_t i = 0; i < cs.size(); ++i) {
+      const Scored& sc = memo.find(cs[i])->second;
+      double energy = sc.pred.mean;
+      if (prior_w > 0.0)
+        energy += prior_w * 0.1 * (sc.prior_score - prior_mean_) / prior_std_;
+      if (meta_w > 0.0) energy += meta_w * sc.meta;
+      out[i] = energy;
+    }
+    return out;
+  };
   tuning::SaResult sa =
       tuning::simulated_annealing(task_.space(), energy_batch, options_.plan_size,
                                   rng_, options_.sa, std::move(init));
@@ -274,7 +286,8 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
   // 2. Hardware-Aware Exploration: the neural acquisition function re-ranks
   //    the pool using the Blueprint and the optimization progress. Every
   //    pool config was scored during annealing, so these are memo hits;
-  //    the ranking itself fans across the pool.
+  //    the prior z-score is relative to the pool here, so the acquisition
+  //    net runs again, as one batch over the pool.
   std::vector<double> rank_scores(pool.size());
   telemetry::Span rerank_span("tuner.rerank");  // acquisition re-rank + pick
   if (options_.use_meta && !pool.empty()) {
@@ -284,18 +297,17 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
         prior_scores[i] = scored(pool[i]).prior_score;
     double pm = mean(prior_scores);
     double ps = std::max(1e-9, stddev(prior_scores));
-    double progress = std::min(
-        1.0, static_cast<double>(measured_configs_.size()) /
-                 static_cast<double>(std::max<std::size_t>(1, options_.expected_trials)));
-    parallel_for(0, pool.size(), 8, [&](std::size_t i) {
+    std::vector<MetaFeatures> features(pool.size());
+    std::vector<std::span<const double>> derived(pool.size());
+    for (std::size_t i = 0; i < pool.size(); ++i) {
       const Scored& sc = scored(pool[i]);
-      MetaFeatures f;
-      f.surrogate_mean = sc.pred.mean;
-      f.surrogate_std = sc.pred.std;
-      f.prior_z = (prior_scores[i] - pm) / ps;
-      f.progress = progress;
-      rank_scores[i] = artifacts_.meta->score(f, blueprint_, sc.derived);
-    });
+      features[i] = {.surrogate_mean = sc.pred.mean,
+                     .surrogate_std = sc.pred.std,
+                     .prior_z = (prior_scores[i] - pm) / ps,
+                     .progress = progress0};
+      derived[i] = sc.derived;
+    }
+    rank_scores = artifacts_.meta->score_batch(features, blueprint_, derived);
   } else {
     parallel_for(0, pool.size(), 8, [&](std::size_t i) {
       rank_scores[i] = scored(pool[i]).pred.mean;

@@ -27,19 +27,25 @@ MetaOptimizer::MetaOptimizer(std::size_t blueprint_dim, Rng& rng,
       net_({4 + blueprint_dim + derived_block_dim(), options.hidden, options.hidden, 1},
            nn::Activation::kRelu, rng) {}
 
+void MetaOptimizer::fill_input(const MetaFeatures& f, std::span<const double> blueprint,
+                               std::span<const double> derived,
+                               std::span<double> in) const {
+  GLIMPSE_CHECK(blueprint.size() == blueprint_dim_);
+  GLIMPSE_CHECK(derived.size() == derived_block_dim());
+  GLIMPSE_CHECK(in.size() == net_.input_dim());
+  in[0] = f.surrogate_mean;
+  in[1] = f.surrogate_std;
+  in[2] = f.prior_z;
+  in[3] = f.progress;
+  auto tail = std::copy(blueprint.begin(), blueprint.end(), in.begin() + 4);
+  std::copy(derived.begin(), derived.end(), tail);
+}
+
 linalg::Vector MetaOptimizer::make_input(const MetaFeatures& f,
                                          std::span<const double> blueprint,
                                          std::span<const double> derived) const {
-  GLIMPSE_CHECK(blueprint.size() == blueprint_dim_);
-  GLIMPSE_CHECK(derived.size() == derived_block_dim());
-  linalg::Vector in;
-  in.reserve(net_.input_dim());
-  in.push_back(f.surrogate_mean);
-  in.push_back(f.surrogate_std);
-  in.push_back(f.prior_z);
-  in.push_back(f.progress);
-  in.insert(in.end(), blueprint.begin(), blueprint.end());
-  in.insert(in.end(), derived.begin(), derived.end());
+  linalg::Vector in(net_.input_dim());
+  fill_input(f, blueprint, derived, in);
   return in;
 }
 
@@ -124,18 +130,19 @@ void MetaOptimizer::train(const tuning::OfflineDataset& dataset,
 
   nn::Adam adam(net_, {.lr = options_.lr});
   std::size_t batch = std::min<std::size_t>(32, examples.size());
+  const double inv_batch = 1.0 / static_cast<double>(batch);
+  nn::MlpParams grad = net_.zero_like();
+  nn::Mlp::Cache cache;
+  linalg::Vector dout;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     auto order = rng.sample_without_replacement(examples.size(), examples.size());
     for (std::size_t start = 0; start + batch <= examples.size(); start += batch) {
-      nn::MlpParams grad = net_.zero_like();
+      grad.fill(0.0);
       for (std::size_t i = start; i < start + batch; ++i) {
         const Example& ex = examples[order[i]];
-        nn::Mlp::Cache cache;
-        linalg::Vector out = net_.forward(ex.input, cache);
-        linalg::Vector dout;
-        linalg::Vector target = {ex.target};
-        nn::mse_grad(out, target, dout);
-        grad.axpy(1.0 / static_cast<double>(batch), net_.backward(ex.input, cache, dout));
+        nn::mse_grad(net_.forward(ex.input, cache),
+                     std::span<const double>(&ex.target, 1), dout);
+        net_.accumulate_grad(ex.input, cache, dout, inv_batch, grad);
       }
       adam.step(net_, grad);
     }
@@ -162,6 +169,21 @@ double MetaOptimizer::score(const MetaFeatures& f, std::span<const double> bluep
                             std::span<const double> derived) const {
   GLIMPSE_CHECK(trained_) << "MetaOptimizer::score before train";
   return net_.forward(make_input(f, blueprint, derived))[0];
+}
+
+std::vector<double> MetaOptimizer::score_batch(
+    std::span<const MetaFeatures> f, std::span<const double> blueprint,
+    std::span<const std::span<const double>> derived) const {
+  GLIMPSE_CHECK(trained_) << "MetaOptimizer::score_batch before train";
+  GLIMPSE_CHECK(f.size() == derived.size());
+  std::vector<double> out(f.size());
+  if (out.empty()) return out;
+  linalg::Matrix in(f.size(), net_.input_dim());
+  for (std::size_t i = 0; i < f.size(); ++i)
+    fill_input(f[i], blueprint, derived[i], in.row(i));
+  const linalg::Matrix o = net_.forward_batch(in);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = o(i, 0);
+  return out;
 }
 
 }  // namespace glimpse::core

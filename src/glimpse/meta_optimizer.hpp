@@ -60,6 +60,13 @@ class MetaOptimizer {
   double score(const MetaFeatures& f, std::span<const double> blueprint,
                std::span<const double> derived) const;
 
+  /// score() of many candidates in one batched forward pass: element i is
+  /// bit-identical to score(f[i], blueprint, derived[i]) (forward_batch rows
+  /// equal per-row forward).
+  std::vector<double> score_batch(std::span<const MetaFeatures> f,
+                                  std::span<const double> blueprint,
+                                  std::span<const std::span<const double>> derived) const;
+
   bool trained() const { return trained_; }
   std::size_t input_dim() const { return net_.input_dim(); }
 
@@ -75,6 +82,9 @@ class MetaOptimizer {
   MetaOptimizer(std::size_t blueprint_dim, nn::Mlp net)
       : blueprint_dim_(blueprint_dim), net_(std::move(net)), trained_(true) {}
 
+  /// Writes the network input for one candidate into `in` (input_dim()).
+  void fill_input(const MetaFeatures& f, std::span<const double> blueprint,
+                  std::span<const double> derived, std::span<double> in) const;
   linalg::Vector make_input(const MetaFeatures& f, std::span<const double> blueprint,
                             std::span<const double> derived) const;
 

@@ -25,31 +25,37 @@ void NeuralSurrogate::fit(const linalg::Matrix& x, const linalg::Vector& y, Rng&
   const std::uint64_t fit_start_ns = telemetry::now_ns();
   scaler_.fit(x);
 
+  // Scaled once per fit, not once per (sample, epoch, net): the rows are
+  // the same values transform(x.row(r)) returns.
+  const linalg::Matrix z = scaler_.transform(x);
+
   std::size_t n = x.rows();
   std::size_t batch = std::min<std::size_t>(16, n);
+  const double inv_batch = 1.0 / static_cast<double>(batch);
   // Ensemble members train independently, one per pool slot, each on its
   // own forked shuffle stream so the result does not depend on thread count.
+  // Each member reuses one gradient buffer and one forward cache, so the
+  // sample loop allocates nothing.
   const std::uint64_t base_seed = rng.engine()();
   parallel_for(0, nets_.size(), 1, [&](std::size_t e) {
     GLIMPSE_SPAN("surrogate.net_fit");
     Rng net_rng = Rng::fork(base_seed, e);
+    nn::Mlp& net = nets_[e];
+    nn::MlpParams grad = net.zero_like();
+    nn::Mlp::Cache cache;
+    linalg::Vector dout;
     for (int epoch = 0; epoch < options_.epochs_per_fit; ++epoch) {
       GLIMPSE_SPAN("surrogate.epoch");
       auto order = net_rng.sample_without_replacement(n, n);
       for (std::size_t start = 0; start + batch <= n; start += batch) {
-        nn::MlpParams grad = nets_[e].zero_like();
+        grad.fill(0.0);
         for (std::size_t i = start; i < start + batch; ++i) {
           std::size_t r = order[i];
-          linalg::Vector z = scaler_.transform(x.row(r));
-          nn::Mlp::Cache cache;
-          linalg::Vector out = nets_[e].forward(z, cache);
-          linalg::Vector dout;
-          linalg::Vector target = {y[r]};
-          nn::mse_grad(out, target, dout);
-          grad.axpy(1.0 / static_cast<double>(batch),
-                    nets_[e].backward(z, cache, dout));
+          nn::mse_grad(net.forward(z.row(r), cache), std::span<const double>(&y[r], 1),
+                       dout);
+          net.accumulate_grad(z.row(r), cache, dout, inv_batch, grad);
         }
-        opts_[e].step(nets_[e], grad);
+        opts_[e].step(net, grad);
       }
     }
   });

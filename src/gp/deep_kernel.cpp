@@ -20,20 +20,22 @@ void DeepKernelGp::pretrain(const linalg::Matrix& x, const linalg::Vector& y, Rn
   nn::Adam adam(embedder_, {.lr = options_.pretrain_lr});
   std::size_t n = x.rows();
   std::size_t batch = std::min<std::size_t>(32, n);
+  const double inv_batch = 1.0 / static_cast<double>(batch);
+  nn::MlpParams grad = embedder_.zero_like();
+  nn::Mlp::Cache cache;
+  linalg::Vector dout;
   for (int epoch = 0; epoch < options_.pretrain_epochs; ++epoch) {
     auto order = rng.sample_without_replacement(n, n);
     for (std::size_t start = 0; start + batch <= n; start += batch) {
-      nn::MlpParams grad = embedder_.zero_like();
+      grad.fill(0.0);
       for (std::size_t i = start; i < start + batch; ++i) {
         std::size_t r = order[i];
+        // Scaled per sample: the offline corpus is large, and a scaled copy
+        // of it would raise peak memory.
         linalg::Vector z = scaler_.transform(x.row(r));
-        nn::Mlp::Cache cache;
-        linalg::Vector out = embedder_.forward(z, cache);
-        linalg::Vector dout;
-        linalg::Vector target = {y[r]};
-        nn::mse_grad(out, target, dout);
-        grad.axpy(1.0 / static_cast<double>(batch),
-                  embedder_.backward(z, cache, dout));
+        nn::mse_grad(embedder_.forward(z, cache), std::span<const double>(&y[r], 1),
+                     dout);
+        embedder_.accumulate_grad(z, cache, dout, inv_batch, grad);
       }
       adam.step(embedder_, grad);
     }

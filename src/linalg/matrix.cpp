@@ -154,6 +154,24 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
+namespace {
+/// y[i] = dot(a.row(i), x) for i in [ib, ie): rows go through dot4 four at
+/// a time (sharing the loads of x), the remainder through dot. Both kernels
+/// keep the canonical per-dot tree, so every y[i] is the same value a lone
+/// dot would give.
+void dot_rows(const Matrix& a, std::size_t ib, std::size_t ie, const double* x,
+              double* y, bool use_simd) {
+  const std::size_t n = a.cols();
+  std::size_t i = ib;
+  for (; i + 4 <= ie; i += 4) {
+    const double* rows[4] = {a.row(i).data(), a.row(i + 1).data(),
+                             a.row(i + 2).data(), a.row(i + 3).data()};
+    kernels::dot4(rows, x, n, y + i, use_simd);
+  }
+  for (; i < ie; ++i) y[i] = kernels::dot(a.row(i).data(), x, n, use_simd);
+}
+}  // namespace
+
 Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   GLIMPSE_CHECK(a.cols() == b.cols())
       << "matmul_nt shape mismatch: " << a.rows() << "x" << a.cols() << " * ("
@@ -163,44 +181,51 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   if (m == 0 || kk == 0 || nn == 0) return c;
   const bool use_simd = simd_enabled();
   // c(i, j) = dot(a.row(i), b.row(j)): both operands stream row-major, so
-  // no transpose materializes. Each c(i, j) uses the canonical dot kernel,
+  // no transpose materializes. Each c(i, j) uses the canonical dot tree,
   // making a batched row bit-identical to a per-row matvec against the same
   // weights — predict() and predict_batch() agree exactly.
   parallel_for_chunks(0, m, row_grain(kk * nn, m),
                       [&](std::size_t ib, std::size_t ie, std::size_t) {
-                        for (std::size_t i = ib; i < ie; ++i) {
-                          const double* arow = a.row(i).data();
-                          double* crow = c.row(i).data();
-                          for (std::size_t j = 0; j < nn; ++j)
-                            crow[j] = kernels::dot(arow, b.row(j).data(), kk, use_simd);
-                        }
+                        for (std::size_t i = ib; i < ie; ++i)
+                          dot_rows(b, 0, nn, a.row(i).data(), c.row(i).data(),
+                                   use_simd);
                       });
   return c;
 }
 
-Vector matvec(const Matrix& a, std::span<const double> x) {
+void matvec(const Matrix& a, std::span<const double> x, Vector& y) {
   GLIMPSE_CHECK(a.cols() == x.size());
-  Vector y(a.rows(), 0.0);
+  y.resize(a.rows());
   const bool use_simd = simd_enabled();
   parallel_for_chunks(0, a.rows(), row_grain(a.cols(), a.rows()),
                       [&](std::size_t ib, std::size_t ie, std::size_t) {
-                        for (std::size_t i = ib; i < ie; ++i)
-                          y[i] = kernels::dot(a.row(i).data(), x.data(), x.size(),
-                                              use_simd);
+                        dot_rows(a, ib, ie, x.data(), y.data(), use_simd);
                       });
+}
+
+Vector matvec(const Matrix& a, std::span<const double> x) {
+  Vector y;
+  matvec(a, x, y);
   return y;
 }
 
-Vector matvec_t(const Matrix& a, std::span<const double> x) {
+void matvec_t(const Matrix& a, std::span<const double> x, Vector& y) {
   GLIMPSE_CHECK(a.rows() == x.size());
-  Vector y(a.cols(), 0.0);
+  y.assign(a.cols(), 0.0);
   // Rows accumulate into shared output slots, so each chunk reduces into a
   // private partial; partials are summed in chunk order afterwards. The
   // chunk structure (and thus the summation order) is fixed by the shapes
-  // alone, keeping results thread-count independent.
+  // alone, keeping results thread-count independent. A single chunk
+  // accumulates straight into y: that equals 0.0 + (its partial) bitwise,
+  // because an accumulator that starts at +0.0 never holds -0.0.
   const std::size_t grain = row_grain(a.cols(), a.rows());
   const std::size_t num_chunks = a.rows() ? (a.rows() + grain - 1) / grain : 0;
   const bool use_simd = simd_enabled();
+  if (num_chunks <= 1) {
+    for (std::size_t i = 0; i < a.rows(); ++i)
+      kernels::axpy(y.data(), a.row(i).data(), x[i], a.cols(), use_simd);
+    return;
+  }
   std::vector<Vector> partials(num_chunks);
   parallel_for_chunks(0, a.rows(), grain,
                       [&](std::size_t ib, std::size_t ie, std::size_t chunk) {
@@ -212,6 +237,11 @@ Vector matvec_t(const Matrix& a, std::span<const double> x) {
                       });
   for (const auto& p : partials)
     for (std::size_t j = 0; j < y.size(); ++j) y[j] += p[j];
+}
+
+Vector matvec_t(const Matrix& a, std::span<const double> x) {
+  Vector y;
+  matvec_t(a, x, y);
   return y;
 }
 

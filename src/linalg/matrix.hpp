@@ -78,6 +78,11 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b);
 Vector matvec(const Matrix& a, std::span<const double> x);
 /// y = A^T x.
 Vector matvec_t(const Matrix& a, std::span<const double> x);
+/// The same products written into `y` (resized; its buffer is reused), for
+/// loops that must not allocate. Bit-identical to the returning forms. `y`
+/// must not alias `x`.
+void matvec(const Matrix& a, std::span<const double> x, Vector& y);
+void matvec_t(const Matrix& a, std::span<const double> x, Vector& y);
 
 namespace detail {
 /// Rows per chunk for the row-parallel kernels above. Pure in its arguments

@@ -65,6 +65,16 @@ inline double dot_scalar(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
+/// Four dot products against one shared operand: out[k] = dot(a[k], x, n).
+/// Each output keeps dot_scalar's own tree — four strided partials
+/// combined as (s0+s2)+(s1+s3), then the sequential tail — so out[k] is
+/// bit-identical to dot_scalar(a[k], x, n). Sharing only changes how often
+/// x is loaded, never which products are added in which order.
+inline void dot4_scalar(const double* const a[4], const double* x, std::size_t n,
+                        double out[4]) {
+  for (int k = 0; k < 4; ++k) out[k] = dot_scalar(a[k], x, n);
+}
+
 inline double sqdist_scalar(const double* a, const double* b, std::size_t n) {
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   std::size_t i = 0;
@@ -119,6 +129,37 @@ inline double dot_sse2(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
+inline void dot4_sse2(const double* const a[4], const double* x, std::size_t n,
+                      double out[4]) {
+  // Per output k: lo[k] holds partials (s0, s1), hi[k] holds (s2, s3) —
+  // dot_sse2's lane layout — while each pair of x loads feeds all four.
+  __m128d lo0 = _mm_setzero_pd(), hi0 = _mm_setzero_pd();
+  __m128d lo1 = _mm_setzero_pd(), hi1 = _mm_setzero_pd();
+  __m128d lo2 = _mm_setzero_pd(), hi2 = _mm_setzero_pd();
+  __m128d lo3 = _mm_setzero_pd(), hi3 = _mm_setzero_pd();
+  const double *a0 = a[0], *a1 = a[1], *a2 = a[2], *a3 = a[3];
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m128d xl = _mm_loadu_pd(x + i);
+    const __m128d xh = _mm_loadu_pd(x + i + 2);
+    lo0 = _mm_add_pd(lo0, _mm_mul_pd(_mm_loadu_pd(a0 + i), xl));
+    hi0 = _mm_add_pd(hi0, _mm_mul_pd(_mm_loadu_pd(a0 + i + 2), xh));
+    lo1 = _mm_add_pd(lo1, _mm_mul_pd(_mm_loadu_pd(a1 + i), xl));
+    hi1 = _mm_add_pd(hi1, _mm_mul_pd(_mm_loadu_pd(a1 + i + 2), xh));
+    lo2 = _mm_add_pd(lo2, _mm_mul_pd(_mm_loadu_pd(a2 + i), xl));
+    hi2 = _mm_add_pd(hi2, _mm_mul_pd(_mm_loadu_pd(a2 + i + 2), xh));
+    lo3 = _mm_add_pd(lo3, _mm_mul_pd(_mm_loadu_pd(a3 + i), xl));
+    hi3 = _mm_add_pd(hi3, _mm_mul_pd(_mm_loadu_pd(a3 + i + 2), xh));
+  }
+  const __m128d sums[4] = {_mm_add_pd(lo0, hi0), _mm_add_pd(lo1, hi1),
+                           _mm_add_pd(lo2, hi2), _mm_add_pd(lo3, hi3)};
+  for (int k = 0; k < 4; ++k) {
+    double s = _mm_cvtsd_f64(sums[k]) + _mm_cvtsd_f64(_mm_unpackhi_pd(sums[k], sums[k]));
+    for (std::size_t j = i; j < n; ++j) s += a[k][j] * x[j];
+    out[k] = s;
+  }
+}
+
 inline double sqdist_sse2(const double* a, const double* b, std::size_t n) {
   __m128d acc0 = _mm_setzero_pd();
   __m128d acc1 = _mm_setzero_pd();
@@ -164,6 +205,19 @@ inline double dot(const double* a, const double* b, std::size_t n, bool use_simd
   (void)use_simd;
 #endif
   return dot_scalar(a, b, n);
+}
+
+inline void dot4(const double* const a[4], const double* x, std::size_t n,
+                 double out[4], bool use_simd) {
+#if GLIMPSE_SIMD_SSE2
+  if (use_simd) {
+    dot4_sse2(a, x, n, out);
+    return;
+  }
+#else
+  (void)use_simd;
+#endif
+  dot4_scalar(a, x, n, out);
 }
 
 inline double sqdist(const double* a, const double* b, std::size_t n,

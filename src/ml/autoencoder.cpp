@@ -19,22 +19,23 @@ Autoencoder::Autoencoder(const linalg::Matrix& x, std::size_t k, Rng& rng,
   nn::Adam dec_opt(decoder_, {.lr = options.lr});
   std::size_t n = x.rows();
 
+  const linalg::Matrix zs = scaler_.transform(x);
+  const double inv_n = 1.0 / static_cast<double>(n);
+  nn::MlpParams enc_grad = encoder_.zero_like();
+  nn::MlpParams dec_grad = decoder_.zero_like();
+  nn::Mlp::Cache enc_cache, dec_cache;
+  linalg::Vector dout, dcode;
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     auto order = rng.sample_without_replacement(n, n);
-    nn::MlpParams enc_grad = encoder_.zero_like();
-    nn::MlpParams dec_grad = decoder_.zero_like();
+    enc_grad.fill(0.0);
+    dec_grad.fill(0.0);
     for (std::size_t r : order) {
-      linalg::Vector z = scaler_.transform(x.row(r));
-      nn::Mlp::Cache enc_cache, dec_cache;
-      linalg::Vector code = encoder_.forward(z, enc_cache);
-      linalg::Vector out = decoder_.forward(code, dec_cache);
-      linalg::Vector dout;
-      nn::mse_grad(out, z, dout);
-      linalg::Vector dcode;
-      dec_grad.axpy(1.0 / static_cast<double>(n),
-                    decoder_.backward(code, dec_cache, dout, &dcode));
-      enc_grad.axpy(1.0 / static_cast<double>(n),
-                    encoder_.backward(z, enc_cache, dcode));
+      std::span<const double> z = zs.row(r);
+      const linalg::Vector& code = encoder_.forward(z, enc_cache);
+      nn::mse_grad(decoder_.forward(code, dec_cache), z, dout);
+      dcode.clear();
+      decoder_.accumulate_grad(code, dec_cache, dout, inv_n, dec_grad, &dcode);
+      encoder_.accumulate_grad(z, enc_cache, dcode, inv_n, enc_grad);
     }
     enc_opt.step(encoder_, enc_grad);
     dec_opt.step(decoder_, dec_grad);

@@ -1,6 +1,7 @@
 #include "nn/mlp.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -65,31 +66,31 @@ double act_grad(double pre, Activation a) {
 
 linalg::Vector Mlp::forward(std::span<const double> x) const {
   Cache scratch;
-  return forward(x, scratch);
+  forward(x, scratch);
+  return std::move(scratch.post.back());
 }
 
-linalg::Vector Mlp::forward(std::span<const double> x, Cache& cache) const {
+const linalg::Vector& Mlp::forward(std::span<const double> x, Cache& cache) const {
   GLIMPSE_CHECK(x.size() == sizes_.front())
       << "Mlp::forward: got " << x.size() << " inputs, want " << sizes_.front();
-  cache.pre.clear();
-  cache.post.clear();
-  linalg::Vector cur(x.begin(), x.end());
-  std::size_t last = p_.w.size() - 1;
-  for (std::size_t l = 0; l < p_.w.size(); ++l) {
-    linalg::Vector pre = linalg::matvec(p_.w[l], cur);
+  const std::size_t layers = p_.w.size();
+  cache.pre.resize(layers);
+  cache.post.resize(layers);
+  std::span<const double> cur = x;
+  for (std::size_t l = 0; l < layers; ++l) {
+    linalg::Vector& pre = cache.pre[l];
+    linalg::Vector& post = cache.post[l];
+    linalg::matvec(p_.w[l], cur, pre);
     for (std::size_t i = 0; i < pre.size(); ++i) pre[i] += p_.b[l][i];
-    cache.pre.push_back(pre);
-    if (l == last) {
-      cache.post.push_back(pre);  // linear output
-      cur = std::move(pre);
+    if (l + 1 == layers) {
+      post.assign(pre.begin(), pre.end());  // linear output
     } else {
-      linalg::Vector post(pre.size());
+      post.resize(pre.size());
       for (std::size_t i = 0; i < pre.size(); ++i) post[i] = act(pre[i], activation_);
-      cache.post.push_back(post);
-      cur = std::move(post);
     }
+    cur = post;
   }
-  return cur;
+  return cache.post.back();
 }
 
 linalg::Matrix Mlp::forward_batch(const linalg::Matrix& x, BatchCache* cache) const {
@@ -115,42 +116,50 @@ linalg::Matrix Mlp::forward_batch(const linalg::Matrix& x, BatchCache* cache) co
   return cur;
 }
 
-MlpParams Mlp::backward(std::span<const double> x, const Cache& cache,
-                        std::span<const double> dout, linalg::Vector* dx) const {
-  GLIMPSE_CHECK(cache.pre.size() == p_.w.size()) << "backward without forward cache";
+void Mlp::accumulate_grad(std::span<const double> x, Cache& cache,
+                          std::span<const double> dout, double scale, MlpParams& grad,
+                          linalg::Vector* dx) const {
+  const std::size_t layers = p_.w.size();
+  GLIMPSE_CHECK(cache.pre.size() == layers) << "backward without forward cache";
   GLIMPSE_CHECK(dout.size() == sizes_.back());
-  MlpParams g = zero_like();
-  linalg::Vector delta(dout.begin(), dout.end());
-  for (std::size_t li = p_.w.size(); li-- > 0;) {
+  GLIMPSE_CHECK(grad.w.size() == layers && grad.b.size() == layers);
+  linalg::Vector& delta = cache.delta;
+  delta.assign(dout.begin(), dout.end());
+  for (std::size_t li = layers; li-- > 0;) {
     // delta is dL/d(pre-activation of layer li)'s *output side*; convert
     // through the activation derivative except at the linear output layer.
-    if (li + 1 != p_.w.size()) {
+    if (li + 1 != layers) {
       for (std::size_t i = 0; i < delta.size(); ++i)
         delta[i] *= act_grad(cache.pre[li][i], activation_);
     }
     std::span<const double> input =
         (li == 0) ? x : std::span<const double>(cache.post[li - 1]);
     // dW = delta * input^T ; db = delta ; dInput = W^T delta.
-    for (std::size_t r = 0; r < g.w[li].rows(); ++r) {
-      double d = delta[r];
+    for (std::size_t r = 0; r < grad.w[li].rows(); ++r) {
+      const double d = delta[r];
       if (d == 0.0) continue;
-      auto row = g.w[li].row(r);
-      for (std::size_t c = 0; c < row.size(); ++c) row[c] += d * input[c];
+      auto row = grad.w[li].row(r);
+      for (std::size_t c = 0; c < row.size(); ++c) row[c] += scale * (d * input[c]);
     }
-    for (std::size_t i = 0; i < delta.size(); ++i) g.b[li][i] += delta[i];
+    for (std::size_t i = 0; i < delta.size(); ++i) grad.b[li][i] += scale * delta[i];
     if (li > 0 || dx != nullptr) {
-      linalg::Vector dprev = linalg::matvec_t(p_.w[li], delta);
-      if (li == 0) {
-        if (dx) {
-          if (dx->empty()) dx->assign(dprev.begin(), dprev.end());
-          else
-            for (std::size_t i = 0; i < dprev.size(); ++i) (*dx)[i] += dprev[i];
-        }
+      linalg::matvec_t(p_.w[li], delta, cache.dprev);
+      if (li > 0) {
+        std::swap(delta, cache.dprev);
+      } else if (dx->empty()) {
+        dx->assign(cache.dprev.begin(), cache.dprev.end());
       } else {
-        delta = std::move(dprev);
+        for (std::size_t i = 0; i < cache.dprev.size(); ++i) (*dx)[i] += cache.dprev[i];
       }
     }
   }
+}
+
+MlpParams Mlp::backward(std::span<const double> x, const Cache& cache,
+                        std::span<const double> dout, linalg::Vector* dx) const {
+  MlpParams g = zero_like();
+  Cache work = cache;
+  accumulate_grad(x, work, dout, 1.0, g, dx);
   return g;
 }
 

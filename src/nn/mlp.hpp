@@ -38,11 +38,16 @@ class Mlp {
   linalg::Vector forward(std::span<const double> x) const;
 
   /// Per-layer activations captured during a forward pass, for backprop.
+  /// A Cache reused across calls keeps its buffers: a training loop with
+  /// one Cache per network allocates nothing per sample.
   struct Cache {
     std::vector<linalg::Vector> pre;   ///< pre-activation per layer
     std::vector<linalg::Vector> post;  ///< post-activation per layer
+    linalg::Vector delta, dprev;       ///< accumulate_grad's scratch
   };
-  linalg::Vector forward(std::span<const double> x, Cache& cache) const;
+  /// Returns the network output, which lives in `cache` (post.back()) until
+  /// the cache's next forward pass.
+  const linalg::Vector& forward(std::span<const double> x, Cache& cache) const;
 
   /// Post-activation matrices of a batched pass (rows align with the input
   /// batch; back() is the network output).
@@ -59,8 +64,19 @@ class Mlp {
   linalg::Matrix forward_batch(const linalg::Matrix& x,
                                BatchCache* cache = nullptr) const;
 
-  /// Backprop dL/doutput through the cached pass; returns parameter grads
-  /// and optionally accumulates dL/dinput into *dx.
+  /// Backprop dL/doutput through the cached pass: grad += scale * dθ, in
+  /// place. dL/dinput goes into *dx when given (assigned if *dx is empty,
+  /// else added). Rows whose delta is zero are skipped. Each weight update
+  /// is `grad += scale * (delta * input)`, the same float operations in the
+  /// same order as grad.axpy(scale, backward(...)), so the two agree
+  /// bitwise for any grad that holds no -0.0 (one accumulated from
+  /// zero_like() never does). The cache's forward values stay intact.
+  void accumulate_grad(std::span<const double> x, Cache& cache,
+                       std::span<const double> dout, double scale, MlpParams& grad,
+                       linalg::Vector* dx = nullptr) const;
+
+  /// Parameter grads of one sample as a fresh buffer: zero_like() plus
+  /// accumulate_grad at scale 1.
   MlpParams backward(std::span<const double> x, const Cache& cache,
                      std::span<const double> dout, linalg::Vector* dx = nullptr) const;
 

@@ -456,12 +456,7 @@ Response SessionManager::stats() const {
     s.cache_hits = cs.hits;
     s.cache_inserts = cs.inserts;
   }
-  // Cross-job in-round dedup is counted by the scheduler's telemetry
-  // counter; it stays 0 unless metrics collection is enabled.
-  if (telemetry::metrics_enabled()) {
-    s.shared_hits = static_cast<std::uint64_t>(
-        telemetry::MetricsRegistry::global().counter("scheduler.shared_hits").value());
-  }
+  s.shared_hits = shared_hits_;
   s.draining = draining_;
   return r;
 }
@@ -770,6 +765,9 @@ void SessionManager::worker_loop() {
     // a shared tier). Outside the lock: it reads tier files from disk.
     if (cache_) cache_->sync_peers();
     lock.lock();
+    // Read the scheduler only here, under the lock, never while a round
+    // runs: stats() reports this snapshot.
+    shared_hits_ = retired_shared_hits_ + scheduler_->shared_hits();
     if (threw) {
       LOG_ERROR << "scheduler round failed: " << what;
       for (auto& [id, rec] : records_)
@@ -780,6 +778,7 @@ void SessionManager::worker_loop() {
       // re-running the failing round forever on a persistent error (e.g. a
       // full disk during checkpointing). Replace the scheduler outright:
       // queued jobs are re-admitted into the fresh one next iteration.
+      retired_shared_hits_ = shared_hits_;
       scheduler_ = std::make_unique<tuning::Scheduler>(
           tuning::SchedulerOptions{options_.slots});
       continue;

@@ -194,6 +194,10 @@ class SessionManager : public RequestHandler {
   std::uint64_t admitted_high_ = 0;
   std::uint64_t admitted_normal_ = 0;
   std::uint64_t admitted_low_ = 0;
+  // Cross-job in-round dedup (stats().shared_hits): retired schedulers'
+  // totals plus the live one's, snapshotted by the worker after each round.
+  std::uint64_t shared_hits_ = 0;
+  std::uint64_t retired_shared_hits_ = 0;
 
   // Worker-thread-only state (see threading model above).
   std::unique_ptr<tuning::Scheduler> scheduler_;

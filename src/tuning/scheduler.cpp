@@ -214,6 +214,7 @@ bool Scheduler::step_round() {
     }
   }
   if (!any_batch) return false;
+  shared_hits_ += shared_hits;
   if (telemetry::metrics_enabled()) {
     auto& reg = telemetry::MetricsRegistry::global();
     reg.counter("scheduler.rounds").add(1);

@@ -98,6 +98,11 @@ class Scheduler {
   /// True when no live (admitted, unfinished) jobs remain.
   bool idle() const { return live_ == 0; }
 
+  /// Follower proposals over this scheduler's lifetime: configs another
+  /// job already proposed in the same round, served from its measurement.
+  /// Always counted, whatever the telemetry switches.
+  std::uint64_t shared_hits() const { return shared_hits_; }
+
  private:
   struct JobState;
 
@@ -109,6 +114,7 @@ class Scheduler {
   std::deque<ScheduledJob> jobs_;
   std::deque<std::unique_ptr<JobState>> states_;
   std::size_t live_ = 0;
+  std::uint64_t shared_hits_ = 0;
 };
 
 /// Run every job to completion (budget, plateau, early stop, or exhausted

@@ -1,6 +1,9 @@
 #include "common/logging.hpp"
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+
 #include "common/stats.hpp"
 #include "glimpse/meta_optimizer.hpp"
 #include "test_util.hpp"
@@ -72,6 +75,31 @@ TEST_F(TrainedMetaTest, ScoreIsDeterministic) {
                  .progress = 0.4};
   EXPECT_DOUBLE_EQ(meta().score(f, blueprint(), derived),
                    meta().score(f, blueprint(), derived));
+}
+
+// The tuner scores a round's candidates in one batch; each batched score
+// must be the single-candidate score bit for bit, or decisions would move.
+TEST_F(TrainedMetaTest, ScoreBatchMatchesScoreBitwise) {
+  Rng rng(7);
+  const linalg::Vector bp = blueprint();
+  std::vector<MetaFeatures> features;
+  std::vector<linalg::Vector> derived;
+  for (int i = 0; i < 13; ++i) {  // not a multiple of the 4-wide kernel
+    auto c = small_conv_task().space().random_config(rng);
+    derived.push_back(MetaOptimizer::derived_block(small_conv_task(), c));
+    features.push_back({.surrogate_mean = rng.normal(),
+                        .surrogate_std = rng.uniform(),
+                        .prior_z = rng.normal(),
+                        .progress = rng.uniform()});
+  }
+  std::vector<std::span<const double>> spans(derived.begin(), derived.end());
+  const std::vector<double> batch = meta().score_batch(features, bp, spans);
+  ASSERT_EQ(batch.size(), features.size());
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    const double one = meta().score(features[i], bp, derived[i]);
+    EXPECT_EQ(std::memcmp(&batch[i], &one, sizeof(double)), 0) << "candidate " << i;
+  }
+  EXPECT_TRUE(meta().score_batch({}, bp, {}).empty());
 }
 
 TEST_F(TrainedMetaTest, HigherSurrogateMeanScoresHigherOnAverage) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 
 #include "common/rng.hpp"
 #include "nn/adam.hpp"
@@ -102,6 +104,71 @@ TEST(MlpTest, InputGradientMatchesFiniteDifferences) {
     double lp = mse_grad(net.forward(xp), target, d);
     double lm = mse_grad(net.forward(xm), target, d);
     EXPECT_NEAR(dx[i], (lp - lm) / (2 * eps), 1e-5);
+  }
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool same_bits(const MlpParams& a, const MlpParams& b) {
+  if (a.w.size() != b.w.size() || a.b.size() != b.b.size()) return false;
+  for (std::size_t l = 0; l < a.w.size(); ++l)
+    if (!same_bits(a.w[l].data(), b.w[l].data()) || !same_bits(a.b[l], b.b[l]))
+      return false;
+  return true;
+}
+
+// accumulate_grad is the fused form of grad.axpy(scale, backward(...)): the
+// same float operations in the same order, so a batch accumulated either
+// way is bitwise equal. ReLU nets hit the zero-delta row skip; the input
+// gradient is checked on both its assign (first sample) and add paths.
+TEST(MlpTest, AccumulateGradMatchesBackwardPlusAxpyBitwise) {
+  for (Activation act : {Activation::kRelu, Activation::kTanh}) {
+    for (bool with_dx : {false, true}) {
+      for (double scale : {1.0, 1.0 / 7.0}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "relu=" << (act == Activation::kRelu) << " dx=" << with_dx
+                     << " scale=" << scale);
+        Rng rng(11);
+        Mlp net({5, 9, 6, 3}, act, rng);
+        MlpParams fused = net.zero_like(), ref = net.zero_like();
+        Mlp::Cache cache;  // reused across samples, as the training loops do
+        linalg::Vector dx_fused, dx_ref;
+        for (int s = 0; s < 7; ++s) {
+          linalg::Vector x(5), dout(3);
+          for (double& v : x) v = rng.normal();
+          for (double& v : dout) v = rng.normal();
+          Mlp::Cache fresh;
+          net.forward(x, fresh);
+          ref.axpy(scale, net.backward(x, fresh, dout, with_dx ? &dx_ref : nullptr));
+          net.forward(x, cache);
+          net.accumulate_grad(x, cache, dout, scale, fused,
+                              with_dx ? &dx_fused : nullptr);
+          EXPECT_TRUE(same_bits(dx_fused, dx_ref)) << "sample " << s;
+        }
+        EXPECT_TRUE(same_bits(fused, ref));
+      }
+    }
+  }
+}
+
+TEST(MlpTest, ReusedCacheForwardMatchesFreshForward) {
+  Rng rng(12);
+  Mlp net({4, 7, 2}, Activation::kRelu, rng);
+  Mlp::Cache cache;
+  for (int s = 0; s < 3; ++s) {
+    linalg::Vector x(4);
+    for (double& v : x) v = rng.normal();
+    Mlp::Cache fresh;
+    const linalg::Vector out = net.forward(x, fresh);
+    EXPECT_TRUE(same_bits(net.forward(x, cache), out));
+    EXPECT_TRUE(same_bits(net.forward(x), out));
+    for (std::size_t l = 0; l < fresh.pre.size(); ++l) {
+      EXPECT_TRUE(same_bits(cache.pre[l], fresh.pre[l]));
+      EXPECT_TRUE(same_bits(cache.post[l], fresh.post[l]));
+    }
   }
 }
 

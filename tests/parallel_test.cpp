@@ -317,6 +317,61 @@ TEST(ParallelDeterminismTest, LinalgBitIdenticalAcrossThreadsAndSimd) {
   }
 }
 
+// Ragged shapes put dot4's groups and tails under test: outputs that are
+// not a multiple of four fall back to the lone dot, and inner dims below or
+// past a multiple of four (tails of one and three) exercise each kernel's
+// sequential tail.
+// Every element must equal a lone scalar dot bitwise, at any pool width and
+// with SIMD on or off.
+TEST(ParallelDeterminismTest, RaggedShapesBitIdenticalAcrossThreadsAndSimd) {
+  PoolGuard guard;
+  SimdGuard simd_guard;
+  Rng rng(78);
+  const std::size_t outer[] = {1, 3, 4, 5, 7};
+  const std::size_t inner[] = {1, 3, 4, 5, 7, 33};
+  for (std::size_t rows : outer) {
+    for (std::size_t outs : outer) {
+      for (std::size_t k : inner) {
+        SCOPED_TRACE(::testing::Message() << "rows=" << rows << " outs=" << outs
+                                          << " k=" << k);
+        const linalg::Matrix a = random_matrix(rows, k, rng);
+        const linalg::Matrix bt = random_matrix(outs, k, rng);
+        linalg::Vector x(k), xt(rows);
+        for (double& v : x) v = rng.normal();
+        for (double& v : xt) v = rng.normal();
+
+        set_num_threads(1);
+        linalg::set_simd_enabled(false);
+        const linalg::Matrix nt_ref = linalg::matmul_nt(a, bt);
+        const linalg::Vector mv_ref = linalg::matvec(a, x);
+        const linalg::Vector mvt_ref = linalg::matvec_t(a, xt);
+        for (std::size_t i = 0; i < rows; ++i) {
+          for (std::size_t j = 0; j < outs; ++j)
+            EXPECT_EQ(nt_ref(i, j),
+                      linalg::kernels::dot_scalar(a.row(i).data(), bt.row(j).data(), k));
+          EXPECT_EQ(mv_ref[i], linalg::kernels::dot_scalar(a.row(i).data(), x.data(), k));
+        }
+
+        for (std::size_t threads : {1u, 4u}) {
+          for (bool simd : {false, true}) {
+            set_num_threads(threads);
+            linalg::set_simd_enabled(simd);
+            const linalg::Matrix nt = linalg::matmul_nt(a, bt);
+            EXPECT_TRUE(std::equal(nt.data().begin(), nt.data().end(),
+                                   nt_ref.data().begin()))
+                << "threads=" << threads << " simd=" << simd;
+            linalg::Vector mv, mvt;
+            linalg::matvec(a, x, mv);
+            linalg::matvec_t(a, xt, mvt);
+            EXPECT_EQ(mv, mv_ref) << "threads=" << threads << " simd=" << simd;
+            EXPECT_EQ(mvt, mvt_ref) << "threads=" << threads << " simd=" << simd;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ParallelDeterminismTest, TunerDecisionsIdenticalAcrossThreadsAndSimd) {
   PoolGuard guard;
   SimdGuard simd_guard;
