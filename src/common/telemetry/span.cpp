@@ -274,4 +274,10 @@ std::size_t num_thread_buffers() {
   return n;
 }
 
+std::size_t num_live_thread_tags() {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  return r.next_tag - r.free_tags.size();
+}
+
 }  // namespace glimpse::telemetry

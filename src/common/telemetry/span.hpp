@@ -168,6 +168,11 @@ std::uint64_t num_dropped_events();
 /// ever created — the satellite fix for per-connection server threads.
 std::size_t num_thread_buffers();
 
+/// Number of thread tags currently held, i.e. threads that asked for a tag
+/// and have not exited yet. Drops back once an exiting thread's tag is on
+/// the free list, so a caller can wait for a thread's teardown to finish.
+std::size_t num_live_thread_tags();
+
 /// Per-thread buffer cap; beyond it spans are counted as dropped, not
 /// stored, so a runaway loop cannot exhaust memory.
 inline constexpr std::size_t kMaxEventsPerThread = 1u << 21;  // ~84 MB/thread max

@@ -210,6 +210,14 @@ struct ModelExpectation {
   std::size_t total, conv, wino, dense;
 };
 
+// Without a printer gtest dumps the struct's raw bytes, `name`'s address
+// among them, into the test's listed name, which then changes from run to
+// run under address-space randomisation.
+void PrintTo(const ModelExpectation& e, std::ostream* os) {
+  *os << e.name << " {" << e.total << ", " << e.conv << ", " << e.wino << ", "
+      << e.dense << "}";
+}
+
 class ModelTaskCountTest : public ::testing::TestWithParam<ModelExpectation> {};
 
 TEST_P(ModelTaskCountTest, MatchesPaperTable1) {
