@@ -935,6 +935,54 @@ TEST(ServiceManager, RestartOnSpoolResumesAndCompletes) {
   }
 }
 
+// A spool result whose state is live ("queued" or "running") is no final
+// answer: a restarted daemon re-runs the job, which then settles "done"
+// bit-identically to a direct run — it neither hangs unsettled nor counts
+// as failed.
+TEST(ServiceManager, UnsettledSpoolResultReruns) {
+  for (const char* state : {"queued", "running"}) {
+    SCOPED_TRACE(state);
+    const std::string spool = tmp_path(std::string("svc_unsettled_") + state);
+    std::filesystem::remove_all(spool);
+    const JobSpec spec = small_job(/*seed=*/83);
+    SessionManagerOptions opts;
+    opts.slots = 2;
+    opts.spool_dir = spool;
+    std::uint64_t job_id = 0;
+    {
+      SessionManager manager(opts);
+      Response r = manager.submit("alice", 0, spec);
+      ASSERT_EQ(r.type, ResponseType::kAccepted);
+      job_id = r.job_id;
+      ASSERT_EQ(manager.result(job_id, /*wait=*/true).summary.state, "done");
+    }
+    std::filesystem::path result_file;
+    for (const auto& entry : std::filesystem::directory_iterator(spool))
+      if (entry.path().string().ends_with(".result.json")) result_file = entry.path();
+    ASSERT_FALSE(result_file.empty());
+    JobSummary summary;
+    {
+      std::ifstream is(result_file);
+      std::string line, err;
+      ASSERT_TRUE(std::getline(is, line));
+      ASSERT_TRUE(service::parse_job_summary_line(line, summary, err)) << err;
+    }
+    summary.state = state;
+    std::ofstream(result_file, std::ios::trunc)
+        << service::encode_job_summary(summary) << '\n';
+
+    SessionManager manager(opts);
+    ASSERT_EQ(manager.recovered(), 1u);
+    Response result = manager.result(job_id, /*wait=*/true);
+    ASSERT_EQ(result.type, ResponseType::kResult);
+    expect_summary_matches_trace(result.summary, direct_trace(spec));
+    const ServiceStats stats = manager.stats().stats;
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_EQ(stats.running, 0u);
+  }
+}
+
 // A persistently failing scheduler round (here: the job's checkpoint path
 // is blocked by a directory, so save_checkpoint's rename fails every time)
 // must fail the affected jobs once and leave the daemon healthy — not spin
