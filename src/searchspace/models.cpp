@@ -1,6 +1,8 @@
 #include "searchspace/models.hpp"
 
 #include <limits>
+#include <stdexcept>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/strutil.hpp"
@@ -125,6 +127,19 @@ Model mobilenet_edge() {
 }
 
 std::vector<Model> scenario_models() { return {transformer_block(), mobilenet_edge()}; }
+
+Model model_by_name(const std::string& name) {
+  static const std::pair<const char*, Model (*)()> kWireNames[] = {
+      {"alexnet", alexnet},
+      {"resnet18", resnet18},
+      {"vgg16", vgg16},
+      {"transformer", transformer_block},
+      {"mobilenet_edge", mobilenet_edge},
+  };
+  for (const auto& [wire, make] : kWireNames)
+    if (name == wire) return make();
+  throw std::invalid_argument("unknown model '" + name + "'");
+}
 
 TaskSet::TaskSet(Model model) : model_(std::move(model)) {
   // Direct conv tasks in network order; remember each layer's task index.

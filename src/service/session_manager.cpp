@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -141,17 +142,16 @@ std::string SessionManager::spool_file(std::uint64_t id, const char* suffix) con
 
 namespace {
 
-bool known_tuner(const std::string& name) {
-  return name == "random" || name == "autotvm" || name == "chameleon";
-}
-
-searchspace::Model model_by_name(const std::string& name) {
-  if (name == "alexnet") return searchspace::alexnet();
-  if (name == "resnet18") return searchspace::resnet18();
-  if (name == "vgg16") return searchspace::vgg16();
-  if (name == "transformer") return searchspace::transformer_block();
-  if (name == "mobilenet_edge") return searchspace::mobilenet_edge();
-  throw std::invalid_argument("unknown model '" + name + "'");
+/// The tuners the daemon serves, by wire name; null for any other name.
+/// Each factory's defaults equal its tuner constructor's.
+const tuning::TunerFactory* servable_tuner(const std::string& name) {
+  static const std::map<std::string, tuning::TunerFactory> kTuners = {
+      {"random", baselines::random_factory()},
+      {"autotvm", baselines::autotvm_factory()},
+      {"chameleon", baselines::chameleon_factory()},
+  };
+  const auto it = kTuners.find(name);
+  return it == kTuners.end() ? nullptr : &it->second;
 }
 
 /// Read one whole line from a small spool file. False when unreadable.
@@ -184,7 +184,7 @@ const searchspace::TaskSet& SessionManager::task_set(const std::string& model) {
   if (it == task_sets_.end()) {
     it = task_sets_
              .emplace(model, std::make_unique<searchspace::TaskSet>(
-                                 model_by_name(model)))
+                                 searchspace::model_by_name(model)))
              .first;
   }
   return *it->second;
@@ -199,18 +199,10 @@ void SessionManager::build_runtime(JobRecord& rec) {
   if (rec.hw == nullptr)
     throw std::invalid_argument(hwspec::unknown_gpu_message(rec.spec.gpu));
 
-  if (rec.spec.tuner == "random") {
-    rec.tuner = std::make_unique<baselines::RandomTuner>(*rec.task, *rec.hw,
-                                                         rec.spec.seed);
-  } else if (rec.spec.tuner == "autotvm") {
-    rec.tuner = std::make_unique<baselines::AutoTvmTuner>(*rec.task, *rec.hw,
-                                                          rec.spec.seed);
-  } else if (rec.spec.tuner == "chameleon") {
-    rec.tuner = std::make_unique<baselines::ChameleonTuner>(*rec.task, *rec.hw,
-                                                            rec.spec.seed);
-  } else {
+  const tuning::TunerFactory* make_tuner = servable_tuner(rec.spec.tuner);
+  if (make_tuner == nullptr)
     throw std::invalid_argument("unknown tuner '" + rec.spec.tuner + "'");
-  }
+  rec.tuner = (*make_tuner)(*rec.task, *rec.hw, rec.spec.seed);
   rec.measurer = std::make_unique<gpusim::SimMeasurer>();
 
   tuning::SessionOptions sess;
@@ -243,7 +235,7 @@ void SessionManager::build_runtime(JobRecord& rec) {
 Response SessionManager::submit(const std::string& client, std::int64_t priority,
                                 const JobSpec& spec) {
   // Validate the spec outside the lock: all checks are read-only lookups.
-  if (!known_tuner(spec.tuner)) {
+  if (servable_tuner(spec.tuner) == nullptr) {
     if (spec.tuner == "glimpse" || spec.tuner == "dgp")
       return error_response("tuner '" + spec.tuner +
                             "' needs pretrained artifacts the daemon does not "

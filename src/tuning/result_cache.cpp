@@ -202,19 +202,21 @@ bool ResultCache::lookup(const CacheKey& key, gpusim::MeasureResult& out) {
 void ResultCache::insert(const CacheKey& key, const gpusim::MeasureResult& r) {
   if (!cacheable(r)) return;
   std::lock_guard<std::mutex> lock(mu_);
-  insert_locked(key, r, /*persist=*/true);
+  insert_locked(key, r, /*local=*/true);
 }
 
-void ResultCache::insert_locked(const CacheKey& key, const gpusim::MeasureResult& r,
-                                bool persist) {
-  if (index_.contains(key)) return;  // deterministic: first entry is the truth
+bool ResultCache::insert_locked(const CacheKey& key, const gpusim::MeasureResult& r,
+                                bool local) {
+  if (index_.contains(key)) return false;  // deterministic: first entry is the truth
   lru_.push_front(Entry{key, r});
   index_.emplace(key, lru_.begin());
-  ++stats_.inserts;
-  bump("cache.insert");
-  if (persist && appender_.is_open()) {
-    append_line(key, r);
-    appender_.flush();
+  if (local) {
+    ++stats_.inserts;
+    bump("cache.insert");
+    if (appender_.is_open()) {
+      append_line(key, r);
+      appender_.flush();
+    }
   }
   while (index_.size() > options_.capacity) {
     index_.erase(lru_.back().key);
@@ -222,6 +224,7 @@ void ResultCache::insert_locked(const CacheKey& key, const gpusim::MeasureResult
     ++stats_.evictions;
     bump("cache.evict");
   }
+  return true;
 }
 
 void ResultCache::append_line(const CacheKey& key, const gpusim::MeasureResult& r) {
@@ -253,14 +256,10 @@ bool ResultCache::adopt_line_locked(const std::string& line) {
     bump("cache.stale");
     return false;
   }
-  const std::size_t before = index_.size();
-  // Memory-only insert: our own tier already holds loaded lines, and peer
+  // Not a local insert: our own tier already holds loaded lines, and peer
   // entries are replicated into it at compact() time, so two shards syncing
   // each other never ping-pong an entry through their append logs.
-  insert_locked(key, r, /*persist=*/false);
-  if (index_.size() <= before) return false;
-  --stats_.inserts;  // loads and adoptions are not local inserts
-  return true;
+  return insert_locked(key, r, /*local=*/false);
 }
 
 bool ResultCache::compact() {

@@ -125,7 +125,7 @@ struct ResultCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t stale = 0;     ///< disk lines with impossible payloads, dropped
-  std::uint64_t inserts = 0;   ///< new entries accepted (memory tier)
+  std::uint64_t inserts = 0;   ///< new entries from insert(), not loads or peers
   std::uint64_t evictions = 0; ///< LRU evictions since open
   std::uint64_t loaded = 0;    ///< entries restored from the disk tier at open
   std::uint64_t rejected_lines = 0;  ///< unparseable disk lines, dropped
@@ -194,8 +194,10 @@ class ResultCache {
   };
   using EntryList = std::list<Entry>;
 
-  void insert_locked(const CacheKey& key, const gpusim::MeasureResult& r,
-                     bool persist);
+  /// Add key unless present, evicting down to capacity; true when the key
+  /// was new. Only a local insert counts in `inserts` and goes to our tier.
+  bool insert_locked(const CacheKey& key, const gpusim::MeasureResult& r,
+                     bool local);
   void load_disk_tier();
   /// Parse one tier line into the memory tier, counting it as rejected or
   /// stale when it is not servable. True when it added an entry.

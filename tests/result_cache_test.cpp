@@ -11,6 +11,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/telemetry/metrics.hpp"
 #include "gpusim/faulty_measurer.hpp"
 #include "gpusim/measurer.hpp"
 #include "hwspec/database.hpp"
@@ -434,6 +435,54 @@ TEST(ResultCacheTest, CompactionMergePreservesRecencyOrder) {
   for (std::uint32_t i = 0; i < 3; ++i)
     EXPECT_FALSE(reloaded.lookup(key_for(i), out)) << i;
   std::remove(path.c_str());
+}
+
+TEST(ResultCacheTest, OverCapacityReloadCountsEveryLine) {
+  // A tier larger than capacity: every line is adopted (and then evicted in
+  // insert order), none is a local insert, and the cache.insert metric only
+  // counts local inserts.
+  namespace fs = std::filesystem;
+  const std::string dir = tmp_path("cache_over_capacity");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = dir + "/tier-a.jsonl";
+  {
+    ResultCacheOptions opts;
+    opts.path = path;
+    ResultCache cache(opts);
+    for (std::uint32_t i = 0; i < 6; ++i)
+      cache.insert(key_for(i), valid_result(50.0 + i));
+  }
+  const bool metrics_were_on = telemetry::metrics_enabled();
+  telemetry::set_metrics_enabled(true);
+  const telemetry::Counter& insert_metric =
+      telemetry::MetricsRegistry::global().counter("cache.insert");
+  const std::uint64_t inserts_before = insert_metric.value();
+
+  ResultCacheOptions opts;
+  opts.path = path;
+  opts.capacity = 2;
+  ResultCache reloaded(opts);
+  EXPECT_EQ(reloaded.stats().loaded, 6u);
+  EXPECT_EQ(reloaded.stats().inserts, 0u);
+  EXPECT_EQ(reloaded.stats().evictions, 4u);
+  MeasureResult out;
+  EXPECT_TRUE(reloaded.lookup(key_for(5), out));
+  EXPECT_FALSE(reloaded.lookup(key_for(3), out));
+
+  // The same tier adopted from a peer is counted the same way.
+  ResultCacheOptions peer;
+  peer.path = dir + "/tier-b.jsonl";
+  peer.shared_dir = dir;
+  peer.capacity = 2;
+  ResultCache fleet(peer);
+  EXPECT_EQ(fleet.stats().peer_merged, 6u);
+  EXPECT_EQ(fleet.stats().inserts, 0u);
+  EXPECT_EQ(fleet.stats().evictions, 4u);
+
+  EXPECT_EQ(insert_metric.value(), inserts_before);
+  telemetry::set_metrics_enabled(metrics_were_on);
+  fs::remove_all(dir);
 }
 
 TEST(ResultCacheTest, OpenFromEnvVariants) {

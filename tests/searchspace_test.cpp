@@ -1,7 +1,9 @@
 #include "common/logging.hpp"
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "searchspace/models.hpp"
@@ -304,6 +306,25 @@ TEST(ModelTest, Vgg16Has13Convs) {
   int total = 0;
   for (const auto& c : m.convs) total += c.count;
   EXPECT_EQ(total, 13);
+}
+
+TEST(ModelTest, EveryWireNameResolves) {
+  // Every model name a job may carry, and the zoo model it selects.
+  const std::pair<const char*, const char*> wire_names[] = {
+      {"alexnet", "AlexNet"},
+      {"resnet18", "ResNet-18"},
+      {"vgg16", "VGG-16"},
+      {"transformer", "TransformerBlock"},
+      {"mobilenet_edge", "MobileNetEdge"},
+  };
+  for (const auto& [wire, name] : wire_names)
+    EXPECT_EQ(model_by_name(wire).name, name) << wire;
+  try {
+    model_by_name("resnet999");
+    ADD_FAILURE() << "an unknown model name resolved";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown model 'resnet999'");
+  }
 }
 
 }  // namespace

@@ -643,6 +643,37 @@ TEST(ServiceManager, RejectsBadSpecsAtTheDoor) {
   EXPECT_EQ(manager.cancel(123).type, ResponseType::kError);
 }
 
+TEST(ServiceManager, ServesEveryZooModelAndTunerName) {
+  SessionManager manager{SessionManagerOptions{}};
+  std::vector<std::uint64_t> ids;
+  for (const char* model :
+       {"alexnet", "resnet18", "vgg16", "transformer", "mobilenet_edge"}) {
+    for (const char* tuner : {"random", "autotvm", "chameleon"}) {
+      JobSpec spec = small_job(/*seed=*/7, /*max_trials=*/8);
+      spec.model = model;
+      spec.task_index = 0;
+      spec.tuner = tuner;
+      const Response r = manager.submit("a", 0, spec);
+      ASSERT_EQ(r.type, ResponseType::kAccepted) << model << " " << tuner;
+      ids.push_back(r.job_id);
+    }
+  }
+  for (std::uint64_t id : ids)
+    EXPECT_EQ(manager.result(id, /*wait=*/true).type, ResponseType::kResult);
+
+  // The door's error strings for names it does not serve.
+  JobSpec spec = small_job(1);
+  spec.model = "resnet999";
+  EXPECT_EQ(manager.submit("a", 0, spec).reason, "unknown model 'resnet999'");
+  spec = small_job(1);
+  spec.tuner = "xgboost";
+  EXPECT_EQ(manager.submit("a", 0, spec).reason, "unknown tuner 'xgboost'");
+  spec.tuner = "dgp";
+  EXPECT_EQ(manager.submit("a", 0, spec).reason,
+            "tuner 'dgp' needs pretrained artifacts the daemon does not hold; "
+            "use random, autotvm, or chameleon");
+}
+
 // N clients submit overlapping work concurrently. Every job's result must
 // be bit-identical to its direct single-session run no matter the
 // interleaving, and the shared cache must show cross-client hits.

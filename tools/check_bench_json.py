@@ -1,65 +1,17 @@
 #!/usr/bin/env python3
 """Validate the repo's machine-readable outputs.
 
-Checks three file shapes, selected by content sniffing (or forced with
---kind):
-
-  * bench      -- BENCH_*.json from bench/micro_parallel.cpp:
-                  {"threads_serial", "threads_parallel", "paths": [
-                    {"name", "serial_ms", "parallel_ms", "speedup"}, ...]}
-  * trace      -- Chrome trace-event JSON written via GLIMPSE_TRACE:
-                  {"traceEvents": [{"name", "ph", "ts", ...}, ...]};
-                  "X" (complete) events must also carry "dur". A
-                  GLIMPSE_TRACE path ending in .jsonl instead holds JSONL
-                  segments ("trace_meta" metadata line, then one event
-                  object per line) — both shapes validate under this kind,
-                  including distributed-trace id formats (trace_id 32 hex,
-                  span ids 16 hex) when present.
-  * metrics    -- JSONL written via GLIMPSE_METRICS: one object per line,
-                  each with "name" and "type" (counter | gauge | histogram);
-                  histograms carry count/sum/min/max/p50/p90/p99/buckets.
-  * faults     -- BENCH_faults.json from bench/micro_faults.cpp:
-                  {"max_trials", "batch_size", "fault_paths": [
-                    {"name", "p_transient", "trials", "faulted", ...}, ...]}
-  * journal    -- <checkpoint>.journal.jsonl written by the session's
-                  crash-safety layer: one trial object per line with
-                  "step", "config", "valid", "error", "attempts", ...;
-                  steps must be consecutive from 0.
-  * cache      -- BENCH_cache.json from bench/micro_cache.cpp:
-                  {"max_trials", "batch_size", "repeats", "sweeps": [
-                    {"name", "tuner", "measurements_no_cache",
-                     "measurements_cache", "reduction",
-                     "traces_identical", ...}, ...]}
-  * service    -- BENCH_service.json from bench/micro_service.cpp:
-                  {"slots", "max_trials", "batch_size", "scenarios": [
-                    {"name", "clients", "submitted", "accepted",
-                     "rejected", "completed", "cancelled",
-                     "results_identical", ...}, ...]};
-                  admission must account exactly (accepted + rejected ==
-                  submitted, completed + cancelled <= accepted)
-  * warmstart  -- BENCH_warmstart.json from bench/micro_warmstart.cpp:
-                  {"donor_trials", "max_trials", "batch_size", "top_k",
-                   "arms": [{"name", "warm_seeds", "donor_entries",
-                    "donor_devices", "cold_best_gflops", "warm_best_gflops",
-                    "parity_gflops", "cold_invocations", "warm_invocations",
-                    "reduction", "quality_held", "decisions_identical",
-                    ...}, ...]};
-                  reduction must be consistent with the invocation counts
-  * scenarios  -- BENCH_scenarios.json from bench/micro_scenarios.cpp:
-                  {"max_trials", "batch_size", "scenario_sweeps": [
-                    {"kind", "task", "distinct_best_configs", "cells": [
-                      {"gpu", "tensor_cores", "best_gflops", "best_config",
-                       "tc_selected", "valid_frac", "decisions_identical",
-                       ...}, ...]}, ...], "acceptance": {...}};
-                  tc_selected must be false wherever tensor_cores == 0
-  * fleet      -- BENCH_fleet.json from bench/micro_fleet.cpp:
-                  {"hardware_concurrency", "jobs", "max_trials",
-                   "points": [{"daemons", "wall_ms", "jobs_per_s",
-                    "completed", "cache_hits", "per_shard": [...]}, ...],
-                   "scaling_4v1", "decisions_identical"};
-                  every point must complete every job, per-shard counts
-                  must sum to the point totals, and decisions_identical
-                  must be true (sharding must never change results)
+Every file is one of ten kinds, sniffed from its content or forced with
+--kind: bench, trace, metrics, faults, journal, cache, service, fleet,
+warmstart and scenarios. A trace is Chrome trace-event JSON or the JSONL
+segments GLIMPSE_TRACE writes to a .jsonl path; metrics (GLIMPSE_METRICS)
+and journal (<checkpoint>.journal.jsonl) are JSONL; the other kinds are the
+BENCH_*.json files of bench/micro_*.cpp. SCHEMAS below gives every shape:
+keys, types and bounds. One small rules function per kind adds the
+invariants that span fields (sums, orderings, reduction ratios, gapless
+journal steps, trace segments and span ids), and KINDS ties each kind to
+its rules and summary line. GATES maps each --check-* flag to the kind it
+applies to and the acceptance floors it adds:
 
 With --check-speedup, bench files are additionally gated against per-path
 parallel speedup floors (the perf regression gate for the thread-pool /
@@ -109,6 +61,7 @@ import tempfile
 from pathlib import Path
 
 NUMBER = (int, float)
+NUMBER_OR_NULL = (int, float, type(None))
 
 
 class ValidationError(Exception):
@@ -120,34 +73,294 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
-def _require_keys(obj: dict, keys: dict, where: str) -> None:
-    """keys maps name -> required type (or tuple of types)."""
-    _require(isinstance(obj, dict), f"{where}: expected an object")
-    for name, types in keys.items():
-        _require(name in obj, f"{where}: missing key '{name}'")
-        _require(
-            isinstance(obj[name], types) and not isinstance(obj[name], bool),
-            f"{where}: key '{name}' has wrong type "
-            f"({type(obj[name]).__name__})",
-        )
+# ---- schemas ----------------------------------------------------------------
+#
+# A schema maps keys to specs; a key ending in "?" is optional, and keys a
+# schema does not name are allowed. A spec is one of:
+#   * a type or a tuple of types: only the bare bool type takes a bool (it
+#     never passes for a number), and type(None) in a tuple makes the key
+#     nullable;
+#   * (types, lo) or (types, lo, hi): the same, within [lo, hi];
+#   * a set of strings: the value is one of them;
+#   * a nested schema {...};
+#   * [item spec, min_len]: a list of at least min_len items.
+# JSONL kinds (journal, metrics, trace segments) are checked line by line.
+
+SCHEMAS = {
+    "bench": {
+        "threads_serial": (int, 1), "threads_parallel": (int, 1),
+        "paths": [{"name": str, "serial_ms": (NUMBER, 0),
+                   "parallel_ms": (NUMBER, 0)}, 1]},
+    "faults": {
+        "max_trials": int, "batch_size": int,
+        "fault_paths": [{
+            "name": str, "p_transient": (NUMBER, 0, 1), "trials": int,
+            "faulted": int, "recovered": int, "injected_failures": int,
+            "best_gflops": (NUMBER, 0), "gpu_seconds": (NUMBER, 0),
+            "wall_ms": (NUMBER, 0), "checkpointed": bool,
+            "resume_bit_identical": bool}, 1]},
+    "cache": {
+        "max_trials": int, "batch_size": int, "repeats": (int, 1),
+        "sweeps": [{
+            "name": str, "tuner": str, "repeats": int, "trials_total": int,
+            "measurements_no_cache": (int, 0), "measurements_cache": (int, 0),
+            "reduction": (NUMBER, 0), "cache_hits": int,
+            "wall_ms": (NUMBER, 0), "traces_identical": bool}, 1]},
+    "service": {
+        "slots": (int, 1), "max_trials": int, "batch_size": int,
+        "scenarios": [{
+            "name": str, "clients": (int, 1), "submitted": int,
+            "accepted": int, "rejected": int, "completed": int,
+            "cancelled": int, "trials_total": int, "cache_hits": (int, 0),
+            "wall_ms": (NUMBER, 0), "results_identical": bool}, 1],
+        # overhead_us_per_req may dip below zero on a noisy host.
+        "tracing_overhead?": {
+            "requests": (int, 1), "off_us_per_req": (NUMBER, 0),
+            "on_us_per_req": (NUMBER, 0), "overhead_us_per_req": NUMBER,
+            "traced_spans": (int, 0)}},
+    "fleet": {
+        "hardware_concurrency": (int, 0), "jobs": (int, 1), "max_trials": int,
+        "scaling_4v1": (NUMBER, 0), "decisions_identical": bool,
+        "points": [{
+            "daemons": int, "wall_ms": (NUMBER, 0), "jobs_per_s": (NUMBER, 0),
+            "completed": int, "cache_hits": int,
+            "per_shard": [{"shard": str, "completed": int,
+                           "cache_hits": int}, 0]}, 1]},
+    "warmstart": {
+        "donor_trials": (int, 1), "max_trials": (int, 1), "batch_size": int,
+        "top_k": (int, 1),
+        "arms": [{
+            "name": str, "warm_seeds": int, "donor_entries": int,
+            "donor_devices": int, "cold_best_gflops": (NUMBER, 0),
+            "warm_best_gflops": (NUMBER, 0), "parity_gflops": NUMBER,
+            "cold_invocations": int, "warm_invocations": int,
+            "reduction": NUMBER, "wall_ms": (NUMBER, 0),
+            "quality_held": bool, "decisions_identical": bool}, 1]},
+    "scenarios": {
+        "max_trials": (int, 1), "batch_size": (int, 1),
+        "scenario_sweeps": [{
+            "kind": str, "task": str, "distinct_best_configs": int,
+            "cells": [{
+                "gpu": str, "tensor_cores": (int, 0), "best_config": str,
+                "best_gflops": (NUMBER, 0), "valid_frac": (NUMBER, 0, 1),
+                "wall_ms": (NUMBER, 0), "tc_selected": bool,
+                "decisions_identical": bool}, 1]}, 1],
+        "acceptance": dict.fromkeys(
+            ("optima_move", "tc_selected_somewhere", "tc_never_on_plain",
+             "decisions_identical", "pass"), bool)},
+    # Chrome trace-event JSON; "X" (complete) events also match trace_span.
+    "trace": {"traceEvents": [{"name": str, "ph": str, "ts": (NUMBER, 0)}, 1]},
+    "trace_span": {"dur": (NUMBER, 0)},
+    # JSONL trace segments: a trace_meta header, then one event per line.
+    "trace_meta": {"ph": {"M"}, "args": {"process": str, "base_unix_ns": int}},
+    "trace_line": {"name": str, "ph": {"X", "M"}, "ts": (NUMBER, 0)},
+    "journal": {
+        "step": int, "config": [(int, 0), 0], "valid": bool,
+        "error": {"none", "transient", "timeout", "corrupt"},
+        "attempts": (int, 1), "gflops": NUMBER_OR_NULL,
+        "latency_s": NUMBER_OR_NULL, "cost_s": (NUMBER, 0),
+        "elapsed_s": NUMBER},
+    "metrics": {"name": str, "type": {"counter", "gauge", "histogram"}},
+    # Each metric line also matches the schema named by its "type".
+    "counter": {"value": NUMBER}, "gauge": {"value": NUMBER},
+    "histogram": {
+        "count": int, "sum": NUMBER, "min": NUMBER, "max": NUMBER,
+        "p50": NUMBER, "p90": NUMBER, "p99": NUMBER,
+        "buckets": [{"le": NUMBER_OR_NULL, "count": int}, 0]},
+}
 
 
-# ---- validators -------------------------------------------------------------
+def check_schema(value: object, spec: object, where: str) -> None:
+    """Raise ValidationError unless value matches spec (see SCHEMAS)."""
+    if isinstance(spec, dict):
+        _require(isinstance(value, dict), f"{where}: expected an object")
+        for key, sub in spec.items():
+            name = key.rstrip("?")
+            if name in value:
+                check_schema(value[name], sub, f"{where}: {name}")
+            else:
+                _require(key.endswith("?"), f"{where}: missing key '{name}'")
+    elif isinstance(spec, list):
+        item, min_len = spec
+        _require(isinstance(value, list) and len(value) >= min_len,
+                 f"{where}: expected a list of at least {min_len} item(s)")
+        for i, v in enumerate(value):
+            check_schema(v, item, f"{where}[{i}]")
+    elif isinstance(spec, set):
+        _require(isinstance(value, str) and value in spec,
+                 f"{where}: {value!r} is not one of {sorted(spec)}")
+    else:  # a leaf: types, or (types, lo[, hi])
+        bounded = isinstance(spec, tuple) and not isinstance(spec[1], type)
+        types, lo, hi = (*spec, None)[:3] if bounded else (spec, None, None)
+        _require(isinstance(value, types)
+                 and (types is bool or not isinstance(value, bool)),
+                 f"{where}: wrong type ({type(value).__name__})")
+        _require(value is None or ((lo is None or value >= lo)
+                                   and (hi is None or value <= hi)),
+                 f"{where}: {value} outside [{lo}, {hi}]")
 
 
-def check_bench(doc: object, name: str) -> int:
-    _require_keys(doc, {"threads_serial": int, "threads_parallel": int,
-                        "paths": list}, name)
-    _require(doc["threads_serial"] >= 1, f"{name}: threads_serial < 1")
-    _require(doc["threads_parallel"] >= 1, f"{name}: threads_parallel < 1")
-    _require(len(doc["paths"]) > 0, f"{name}: empty paths list")
-    for i, p in enumerate(doc["paths"]):
-        where = f"{name}: paths[{i}]"
-        _require_keys(p, {"name": str, "serial_ms": NUMBER,
-                          "parallel_ms": NUMBER}, where)
-        _require(p["serial_ms"] >= 0, f"{where}: negative serial_ms")
-        _require(p["parallel_ms"] >= 0, f"{where}: negative parallel_ms")
-    return len(doc["paths"])
+# ---- cross-field rules ------------------------------------------------------
+
+
+def _each(doc: dict, key: str, name: str):
+    """(where, item) for every item of the list doc[key]."""
+    for i, item in enumerate(doc[key]):
+        yield f"{name}: {key}[{i}]", item
+
+
+def _ratio_matches(where: str, reduction: float, num: int, den: int,
+                   counts: str) -> None:
+    """reduction must equal num / den to within 5 %."""
+    ratio = num / den
+    _require(abs(reduction - ratio) <= 0.05 * max(1.0, ratio),
+             f"{where}: reduction {reduction} inconsistent with {counts} "
+             f"counts (expected ~{ratio:.2f})")
+
+
+def _faults_rules(doc: dict, name: str) -> None:
+    for where, p in _each(doc, "fault_paths", name):
+        _require(p["faulted"] <= p["trials"],
+                 f"{where}: more faulted trials than trials")
+        _require(p["recovered"] <= p["trials"],
+                 f"{where}: more recovered trials than trials")
+        _require(p["injected_failures"] >= p["faulted"],
+                 f"{where}: fewer injected failures than faulted trials")
+
+
+def _cache_rules(doc: dict, name: str) -> None:
+    for where, s in _each(doc, "sweeps", name):
+        _require(s["measurements_cache"] <= s["measurements_no_cache"],
+                 f"{where}: the cache arm measured more than the baseline")
+        if s["measurements_cache"] > 0:
+            _ratio_matches(where, s["reduction"], s["measurements_no_cache"],
+                           s["measurements_cache"], "measurement")
+
+
+def _service_rules(doc: dict, name: str) -> None:
+    for where, s in _each(doc, "scenarios", name):
+        _require(s["accepted"] + s["rejected"] == s["submitted"],
+                 f"{where}: accepted + rejected != submitted "
+                 f"(admission must account for every request)")
+        _require(s["completed"] + s["cancelled"] <= s["accepted"],
+                 f"{where}: more settled jobs than accepted")
+
+
+def _fleet_rules(doc: dict, name: str) -> None:
+    _require(doc["decisions_identical"],
+             f"{name}: decisions_identical is false — sharding changed "
+             f"tuning results (this is a correctness bug, never skipped)")
+    prev_daemons = 0
+    for where, p in _each(doc, "points", name):
+        _require(p["daemons"] > prev_daemons,
+                 f"{where}: daemons must be strictly increasing")
+        prev_daemons = p["daemons"]
+        _require(p["completed"] == doc["jobs"],
+                 f"{where}: completed {p['completed']} != jobs "
+                 f"{doc['jobs']} (every point must settle every job)")
+        _require(len(p["per_shard"]) == p["daemons"],
+                 f"{where}: per_shard has {len(p['per_shard'])} entries "
+                 f"for {p['daemons']} daemon(s)")
+        for key in ("completed", "cache_hits"):
+            total = sum(s[key] for s in p["per_shard"])
+            _require(total == p[key], f"{where}: per-shard {key} sums to "
+                                      f"{total}, point says {p[key]}")
+
+
+def _warmstart_rules(doc: dict, name: str) -> None:
+    for where, a in _each(doc, "arms", name):
+        _require(a["warm_seeds"] <= doc["top_k"],
+                 f"{where}: more warm seeds than top_k")
+        _require(a["donor_devices"] <= a["donor_entries"],
+                 f"{where}: more donor devices than donor entries")
+        _require(a["parity_gflops"] <= a["cold_best_gflops"],
+                 f"{where}: parity bar above the cold run's best")
+        for key in ("cold_invocations", "warm_invocations"):
+            _require(a[key] <= doc["max_trials"],
+                     f"{where}: {key} above the trial budget")
+        if a["warm_invocations"] > 0:
+            _ratio_matches(where, a["reduction"], a["cold_invocations"],
+                           a["warm_invocations"], "invocation")
+        else:
+            _require(a["reduction"] == 0,
+                     f"{where}: nonzero reduction but the warm run never "
+                     f"reached parity")
+
+
+def _scenarios_rules(doc: dict, name: str) -> None:
+    for where, s in _each(doc, "scenario_sweeps", name):
+        _require(0 <= s["distinct_best_configs"] <= len(s["cells"]),
+                 f"{where}: distinct_best_configs {s['distinct_best_configs']}"
+                 f" outside [0, {len(s['cells'])}]")
+
+
+def _check_span_ids(args: object, where: str) -> None:
+    """Distributed-trace id formats, when the event carries them."""
+    ids = args if isinstance(args, dict) else {}
+    for key, width in (("trace_id", 32), ("span_id", 16),
+                       ("parent_span_id", 16)):
+        if key in ids:
+            v = ids[key]
+            _require(isinstance(v, str) and len(v) == width
+                     and all(c in "0123456789abcdef" for c in v),
+                     f"{where}: '{key}' must be {width} lowercase hex chars")
+    _require(ids.get("trace_id") != "0" * 32, f"{where}: all-zero trace_id")
+
+
+def _check_event(e: dict, where: str) -> None:
+    """Rules for one trace event that already matched its schema."""
+    _require(e["ts"] < 1e15, f"{where}: implausible ts (wrapped clock?)")
+    if e["ph"] == "X":
+        check_schema(e, SCHEMAS["trace_span"], where)
+        _check_span_ids(e.get("args"), where)
+
+
+def _trace_rules(doc: dict, name: str) -> None:
+    for where, e in _each(doc, "traceEvents", name):
+        _check_event(e, where)
+
+
+def _trace_lines_rules(lines: list, name: str) -> int:
+    """JSONL trace segments (GLIMPSE_TRACE=<path>.jsonl, appendable)."""
+    spans = 0
+    in_segment = False
+    for where, e in lines:
+        if isinstance(e, dict) and e.get("name") == "trace_meta":
+            check_schema(e, SCHEMAS["trace_meta"], where)
+            in_segment = True
+            continue
+        _require(in_segment,
+                 f"{where}: event before any trace_meta segment header")
+        check_schema(e, SCHEMAS["trace_line"], where)
+        _check_event(e, where)
+        if e["ph"] == "X":
+            spans += 1
+    return spans
+
+
+def _journal_rules(lines: list, name: str) -> int:
+    for step, (where, t) in enumerate(lines):
+        check_schema(t, SCHEMAS["journal"], where)
+        _require(t["step"] == step,
+                 f"{where}: step {t['step']}, expected {step} "
+                 f"(journal must be gapless and duplicate-free)")
+        _require(not t["valid"] or t["error"] == "none",
+                 f"{where}: valid trial carries error '{t['error']}'")
+    return len(lines)
+
+
+def _metrics_rules(lines: list, name: str) -> int:
+    for where, m in lines:
+        check_schema(m, SCHEMAS["metrics"], where)
+        check_schema(m, SCHEMAS[m["type"]], where)
+        if m["type"] == "histogram":
+            total = sum(b["count"] for b in m["buckets"])
+            _require(total == m["count"], f"{where}: bucket counts sum to "
+                                          f"{total}, but count={m['count']}")
+    return len(lines)
+
+
+# ---- gates ------------------------------------------------------------------
 
 
 # Parallel speedup floors enforced by --check-speedup, keyed by path name.
@@ -162,31 +375,21 @@ SPEEDUP_THRESHOLDS = {
 GATE_MIN_THREADS = 4
 
 
-def check_speedup(doc: object, name: str,
-                  thresholds: dict[str, float] | None = None) -> str:
-    """Gate a validated bench doc against per-path speedup floors.
-
-    Returns a human-readable summary; raises ValidationError on regression.
-    """
-    if thresholds is None:
-        thresholds = SPEEDUP_THRESHOLDS
-    check_bench(doc, name)
+def check_speedup(doc: dict, name: str) -> str:
+    """Gate a bench doc against per-path speedup floors."""
+    check_schema(doc, {"hardware_concurrency?": ((int, type(None)), 0)}, name)
     tp = doc["threads_parallel"]
     hc = doc.get("hardware_concurrency")
-    if hc is not None:
-        _require(isinstance(hc, int) and not isinstance(hc, bool) and hc >= 0,
-                 f"{name}: hardware_concurrency must be a non-negative int")
     if tp < GATE_MIN_THREADS:
         return (f"speedup gate SKIPPED: only {tp} parallel thread(s), "
                 f"thresholds assume >= {GATE_MIN_THREADS}")
-    if isinstance(hc, int) and 0 < hc < tp:
+    if hc is not None and 0 < hc < tp:
         return (f"speedup gate SKIPPED: hardware_concurrency {hc} < "
                 f"threads_parallel {tp}; machine cannot express the "
                 f"parallelism being gated")
     by_name = {p["name"]: p for p in doc["paths"]}
     parts = []
-    for pname in sorted(thresholds):
-        floor = thresholds[pname]
+    for pname, floor in sorted(SPEEDUP_THRESHOLDS.items()):
         _require(pname in by_name,
                  f"{name}: gated path '{pname}' missing from paths")
         p = by_name[pname]
@@ -198,146 +401,6 @@ def check_speedup(doc: object, name: str,
     return "speedup gate passed: " + ", ".join(parts)
 
 
-def check_faults(doc: object, name: str) -> int:
-    _require_keys(doc, {"max_trials": int, "batch_size": int,
-                        "fault_paths": list}, name)
-    _require(len(doc["fault_paths"]) > 0, f"{name}: empty fault_paths list")
-    for i, p in enumerate(doc["fault_paths"]):
-        where = f"{name}: fault_paths[{i}]"
-        _require_keys(p, {"name": str, "p_transient": NUMBER, "trials": int,
-                          "faulted": int, "recovered": int,
-                          "injected_failures": int, "best_gflops": NUMBER,
-                          "gpu_seconds": NUMBER, "wall_ms": NUMBER}, where)
-        for key in ("checkpointed", "resume_bit_identical"):
-            _require(isinstance(p.get(key), bool),
-                     f"{where}: key '{key}' must be a boolean")
-        _require(0.0 <= p["p_transient"] <= 1.0,
-                 f"{where}: p_transient outside [0, 1]")
-        _require(p["faulted"] <= p["trials"],
-                 f"{where}: more faulted trials than trials")
-        _require(p["recovered"] <= p["trials"],
-                 f"{where}: more recovered trials than trials")
-        _require(p["injected_failures"] >= p["faulted"],
-                 f"{where}: fewer injected failures than faulted trials")
-        _require(p["best_gflops"] >= 0, f"{where}: negative best_gflops")
-        _require(p["gpu_seconds"] >= 0, f"{where}: negative gpu_seconds")
-        _require(p["wall_ms"] >= 0, f"{where}: negative wall_ms")
-    return len(doc["fault_paths"])
-
-
-def check_cache(doc: object, name: str) -> int:
-    _require_keys(doc, {"max_trials": int, "batch_size": int, "repeats": int,
-                        "sweeps": list}, name)
-    _require(doc["repeats"] >= 1, f"{name}: repeats < 1")
-    _require(len(doc["sweeps"]) > 0, f"{name}: empty sweeps list")
-    for i, s in enumerate(doc["sweeps"]):
-        where = f"{name}: sweeps[{i}]"
-        _require_keys(s, {"name": str, "tuner": str, "repeats": int,
-                          "trials_total": int, "measurements_no_cache": int,
-                          "measurements_cache": int, "reduction": NUMBER,
-                          "cache_hits": int, "wall_ms": NUMBER}, where)
-        _require(isinstance(s.get("traces_identical"), bool),
-                 f"{where}: key 'traces_identical' must be a boolean")
-        _require(s["measurements_no_cache"] >= 0,
-                 f"{where}: negative measurements_no_cache")
-        _require(s["measurements_cache"] >= 0,
-                 f"{where}: negative measurements_cache")
-        _require(s["measurements_cache"] <= s["measurements_no_cache"],
-                 f"{where}: the cache arm measured more than the baseline")
-        _require(s["reduction"] >= 0, f"{where}: negative reduction")
-        _require(s["wall_ms"] >= 0, f"{where}: negative wall_ms")
-        if s["measurements_cache"] > 0:
-            ratio = s["measurements_no_cache"] / s["measurements_cache"]
-            _require(abs(s["reduction"] - ratio) <= 0.05 * max(1.0, ratio),
-                     f"{where}: reduction {s['reduction']} inconsistent with "
-                     f"measurement counts (expected ~{ratio:.2f})")
-    return len(doc["sweeps"])
-
-
-def check_service(doc: object, name: str) -> int:
-    _require_keys(doc, {"slots": int, "max_trials": int, "batch_size": int,
-                        "scenarios": list}, name)
-    _require(doc["slots"] >= 1, f"{name}: slots < 1")
-    _require(len(doc["scenarios"]) > 0, f"{name}: empty scenarios list")
-    for i, s in enumerate(doc["scenarios"]):
-        where = f"{name}: scenarios[{i}]"
-        _require_keys(s, {"name": str, "clients": int, "submitted": int,
-                          "accepted": int, "rejected": int, "completed": int,
-                          "cancelled": int, "trials_total": int,
-                          "cache_hits": int, "wall_ms": NUMBER}, where)
-        _require(isinstance(s.get("results_identical"), bool),
-                 f"{where}: key 'results_identical' must be a boolean")
-        _require(s["clients"] >= 1, f"{where}: clients < 1")
-        _require(s["accepted"] + s["rejected"] == s["submitted"],
-                 f"{where}: accepted + rejected != submitted "
-                 f"(admission must account for every request)")
-        _require(s["completed"] + s["cancelled"] <= s["accepted"],
-                 f"{where}: more settled jobs than accepted")
-        _require(s["cache_hits"] >= 0, f"{where}: negative cache_hits")
-        _require(s["wall_ms"] >= 0, f"{where}: negative wall_ms")
-    if "tracing_overhead" in doc:
-        where = f"{name}: tracing_overhead"
-        t = doc["tracing_overhead"]
-        _require_keys(t, {"requests": int, "off_us_per_req": NUMBER,
-                          "on_us_per_req": NUMBER,
-                          "overhead_us_per_req": NUMBER,
-                          "traced_spans": int}, where)
-        _require(t["requests"] >= 1, f"{where}: requests < 1")
-        _require(t["off_us_per_req"] >= 0, f"{where}: negative off latency")
-        _require(t["on_us_per_req"] >= 0, f"{where}: negative on latency")
-        # overhead_us_per_req may dip below zero on a noisy host; no check.
-        _require(t["traced_spans"] >= 0, f"{where}: negative traced_spans")
-    return len(doc["scenarios"])
-
-
-def check_fleet(doc: object, name: str) -> int:
-    _require_keys(doc, {"hardware_concurrency": int, "jobs": int,
-                        "max_trials": int, "points": list,
-                        "scaling_4v1": NUMBER}, name)
-    _require(doc["hardware_concurrency"] >= 0,
-             f"{name}: negative hardware_concurrency")
-    _require(doc["jobs"] >= 1, f"{name}: jobs < 1")
-    _require(doc["scaling_4v1"] >= 0, f"{name}: negative scaling_4v1")
-    _require(isinstance(doc.get("decisions_identical"), bool),
-             f"{name}: key 'decisions_identical' must be a boolean")
-    _require(doc["decisions_identical"],
-             f"{name}: decisions_identical is false — sharding changed "
-             f"tuning results (this is a correctness bug, never skipped)")
-    _require(len(doc["points"]) > 0, f"{name}: empty points list")
-    prev_daemons = 0
-    for i, p in enumerate(doc["points"]):
-        where = f"{name}: points[{i}]"
-        _require_keys(p, {"daemons": int, "wall_ms": NUMBER,
-                          "jobs_per_s": NUMBER, "completed": int,
-                          "cache_hits": int, "per_shard": list}, where)
-        _require(p["daemons"] > prev_daemons,
-                 f"{where}: daemons must be strictly increasing")
-        prev_daemons = p["daemons"]
-        _require(p["wall_ms"] >= 0, f"{where}: negative wall_ms")
-        _require(p["jobs_per_s"] >= 0, f"{where}: negative jobs_per_s")
-        _require(p["completed"] == doc["jobs"],
-                 f"{where}: completed {p['completed']} != jobs "
-                 f"{doc['jobs']} (every point must settle every job)")
-        _require(len(p["per_shard"]) == p["daemons"],
-                 f"{where}: per_shard has {len(p['per_shard'])} entries "
-                 f"for {p['daemons']} daemon(s)")
-        completed_sum = 0
-        hits_sum = 0
-        for j, s in enumerate(p["per_shard"]):
-            swhere = f"{where}: per_shard[{j}]"
-            _require_keys(s, {"shard": str, "completed": int,
-                              "cache_hits": int}, swhere)
-            completed_sum += s["completed"]
-            hits_sum += s["cache_hits"]
-        _require(completed_sum == p["completed"],
-                 f"{where}: per-shard completed sums to {completed_sum}, "
-                 f"point says {p['completed']}")
-        _require(hits_sum == p["cache_hits"],
-                 f"{where}: per-shard cache_hits sums to {hits_sum}, "
-                 f"point says {p['cache_hits']}")
-    return len(doc["points"])
-
-
 # Aggregate jobs/sec scaling floor at the largest shard count, enforced by
 # --check-fleet-scaling on hosts with at least that many cores. Cache-warm
 # serving is almost pure orchestration, so 4 shards should deliver close
@@ -345,72 +408,21 @@ def check_fleet(doc: object, name: str) -> int:
 FLEET_SCALING_FLOOR = 3.0
 
 
-def check_fleet_scaling(doc: object, name: str,
-                        floor: float = FLEET_SCALING_FLOOR) -> str:
-    """Gate a validated fleet doc against the 4-vs-1 scaling floor.
-
-    Returns a human-readable summary; raises ValidationError on regression.
-    """
-    check_fleet(doc, name)
+def check_fleet_scaling(doc: dict, name: str) -> str:
+    """Gate a fleet doc against the 4-vs-1 scaling floor."""
     hc = doc["hardware_concurrency"]
     max_daemons = max(p["daemons"] for p in doc["points"])
     if 0 < hc < max_daemons:
         return (f"fleet scaling gate SKIPPED: hardware_concurrency {hc} < "
                 f"{max_daemons} daemon(s); machine cannot express the "
                 f"parallelism being gated")
-    scaling = doc["scaling_4v1"]
+    scaling, floor = doc["scaling_4v1"], FLEET_SCALING_FLOOR
     _require(scaling >= floor,
              f"{name}: scaling_4v1 {scaling:.2f}x is below the "
              f"{floor:.2f}x floor at {max_daemons} daemons on {hc} cores "
              f"(fleet scaling regression)")
     return (f"fleet scaling gate passed: {scaling:.2f}x >= {floor:.2f}x "
             f"at {max_daemons} daemons")
-
-
-def check_warmstart(doc: object, name: str) -> int:
-    _require_keys(doc, {"donor_trials": int, "max_trials": int,
-                        "batch_size": int, "top_k": int, "arms": list}, name)
-    _require(doc["donor_trials"] >= 1, f"{name}: donor_trials < 1")
-    _require(doc["max_trials"] >= 1, f"{name}: max_trials < 1")
-    _require(doc["top_k"] >= 1, f"{name}: top_k < 1")
-    _require(len(doc["arms"]) > 0, f"{name}: empty arms list")
-    for i, a in enumerate(doc["arms"]):
-        where = f"{name}: arms[{i}]"
-        _require_keys(a, {"name": str, "warm_seeds": int,
-                          "donor_entries": int, "donor_devices": int,
-                          "cold_best_gflops": NUMBER,
-                          "warm_best_gflops": NUMBER,
-                          "parity_gflops": NUMBER, "cold_invocations": int,
-                          "warm_invocations": int, "reduction": NUMBER,
-                          "wall_ms": NUMBER}, where)
-        for key in ("quality_held", "decisions_identical"):
-            _require(isinstance(a.get(key), bool),
-                     f"{where}: key '{key}' must be a boolean")
-        _require(a["warm_seeds"] <= doc["top_k"],
-                 f"{where}: more warm seeds than top_k")
-        _require(a["donor_devices"] <= a["donor_entries"],
-                 f"{where}: more donor devices than donor entries")
-        _require(a["cold_best_gflops"] >= 0,
-                 f"{where}: negative cold_best_gflops")
-        _require(a["warm_best_gflops"] >= 0,
-                 f"{where}: negative warm_best_gflops")
-        _require(a["parity_gflops"] <= a["cold_best_gflops"],
-                 f"{where}: parity bar above the cold run's best")
-        _require(a["cold_invocations"] <= doc["max_trials"],
-                 f"{where}: cold_invocations above the trial budget")
-        _require(a["warm_invocations"] <= doc["max_trials"],
-                 f"{where}: warm_invocations above the trial budget")
-        _require(a["wall_ms"] >= 0, f"{where}: negative wall_ms")
-        if a["warm_invocations"] > 0:
-            ratio = a["cold_invocations"] / a["warm_invocations"]
-            _require(abs(a["reduction"] - ratio) <= 0.05 * max(1.0, ratio),
-                     f"{where}: reduction {a['reduction']} inconsistent with "
-                     f"invocation counts (expected ~{ratio:.2f})")
-        else:
-            _require(a["reduction"] == 0,
-                     f"{where}: nonzero reduction but the warm run never "
-                     f"reached parity")
-    return len(doc["arms"])
 
 
 # Per-arm invocation-reduction floor enforced by --check-warmstart: seeding
@@ -421,14 +433,10 @@ def check_warmstart(doc: object, name: str) -> int:
 WARMSTART_REDUCTION_FLOOR = 2.0
 
 
-def check_warmstart_gate(doc: object, name: str,
-                         floor: float = WARMSTART_REDUCTION_FLOOR) -> str:
-    """Gate a validated warmstart doc: every arm must hold quality, stay
-    deterministic across thread counts, and beat the reduction floor.
-
-    Returns a human-readable summary; raises ValidationError on regression.
-    """
-    check_warmstart(doc, name)
+def check_warmstart_gate(doc: dict, name: str) -> str:
+    """Every arm must hold quality, stay deterministic across thread
+    counts, and beat the reduction floor."""
+    floor = WARMSTART_REDUCTION_FLOOR
     parts = []
     for i, a in enumerate(doc["arms"]):
         where = f"{name}: arms[{i}] ('{a['name']}')"
@@ -447,61 +455,17 @@ def check_warmstart_gate(doc: object, name: str,
     return "warmstart gate passed: " + ", ".join(parts)
 
 
-def check_scenarios(doc: object, name: str) -> int:
-    _require_keys(doc, {"max_trials": int, "batch_size": int,
-                        "scenario_sweeps": list, "acceptance": dict}, name)
-    _require(doc["max_trials"] >= 1, f"{name}: max_trials < 1")
-    _require(doc["batch_size"] >= 1, f"{name}: batch_size < 1")
-    _require(len(doc["scenario_sweeps"]) > 0, f"{name}: empty scenario_sweeps")
-    for i, s in enumerate(doc["scenario_sweeps"]):
-        where = f"{name}: scenario_sweeps[{i}]"
-        _require_keys(s, {"kind": str, "task": str,
-                          "distinct_best_configs": int, "cells": list}, where)
-        _require(len(s["cells"]) > 0, f"{where}: empty cells")
-        _require(0 <= s["distinct_best_configs"] <= len(s["cells"]),
-                 f"{where}: distinct_best_configs {s['distinct_best_configs']}"
-                 f" outside [0, {len(s['cells'])}]")
-        for j, c in enumerate(s["cells"]):
-            cwhere = f"{where}: cells[{j}]"
-            _require_keys(c, {"gpu": str, "tensor_cores": int,
-                              "best_gflops": NUMBER, "best_config": str,
-                              "valid_frac": NUMBER, "wall_ms": NUMBER},
-                          cwhere)
-            for key in ("tc_selected", "decisions_identical"):
-                _require(isinstance(c.get(key), bool),
-                         f"{cwhere}: key '{key}' must be a boolean")
-            _require(c["tensor_cores"] >= 0,
-                     f"{cwhere}: negative tensor_cores")
-            _require(c["best_gflops"] >= 0,
-                     f"{cwhere}: negative best_gflops")
-            _require(0.0 <= c["valid_frac"] <= 1.0,
-                     f"{cwhere}: valid_frac outside [0, 1]")
-            _require(c["wall_ms"] >= 0, f"{cwhere}: negative wall_ms")
-    for key in ("optima_move", "tc_selected_somewhere", "tc_never_on_plain",
-                "decisions_identical", "pass"):
-        _require(isinstance(doc["acceptance"].get(key), bool),
-                 f"{name}: acceptance key '{key}' must be a boolean")
-    return len(doc["scenario_sweeps"])
-
-
 # Per-kind distinct-optima floor enforced by --check-scenarios: across the
 # swept Blueprints, at least this many must disagree on the best config, or
 # the hardware embedding has nothing to learn from the new template kinds.
 SCENARIO_DISTINCT_FLOOR = 3
 
 
-def check_scenarios_gate(doc: object, name: str,
-                         floor: int = SCENARIO_DISTINCT_FLOOR) -> str:
-    """Gate a validated scenarios doc: optima must move across Blueprints,
-    the tensor-core path must win somewhere on TC silicon and never off it,
-    and every cell must be thread-count deterministic.
-
-    Never skipped: the measurer is simulated, so none of these properties
-    depend on the host. Returns a human-readable summary; raises
-    ValidationError on regression.
-    """
-    check_scenarios(doc, name)
-    tc_selected_somewhere = False
+def check_scenarios_gate(doc: dict, name: str) -> str:
+    """Optima must move across Blueprints, the tensor-core path must win
+    somewhere on TC silicon and never off it, and every cell must be
+    thread-count deterministic. Never skipped: the measurer is simulated."""
+    floor = SCENARIO_DISTINCT_FLOOR
     parts = []
     for i, s in enumerate(doc["scenario_sweeps"]):
         where = f"{name}: scenario_sweeps[{i}] ('{s['kind']}')"
@@ -514,14 +478,13 @@ def check_scenarios_gate(doc: object, name: str,
             _require(c["decisions_identical"],
                      f"{cwhere}: tuning decisions differ across thread "
                      f"counts (this is a correctness bug, never skipped)")
-            if c["tc_selected"]:
-                _require(c["tensor_cores"] > 0,
-                         f"{cwhere}: tensor-core config selected on silicon "
-                         f"without tensor cores (resource gate is broken)")
-                tc_selected_somewhere = True
+            _require(not c["tc_selected"] or c["tensor_cores"] > 0,
+                     f"{cwhere}: tensor-core config selected on silicon "
+                     f"without tensor cores (resource gate is broken)")
         parts.append(f"{s['kind']} {s['distinct_best_configs']}/"
                      f"{len(s['cells'])} optima")
-    _require(tc_selected_somewhere,
+    _require(any(c["tc_selected"]
+                 for s in doc["scenario_sweeps"] for c in s["cells"]),
              f"{name}: tensor-core path never selected on any tensor-core "
              f"Blueprint (the fast path is not paying off)")
     _require(doc["acceptance"]["pass"],
@@ -529,249 +492,110 @@ def check_scenarios_gate(doc: object, name: str,
     return "scenarios gate passed: " + ", ".join(parts) + ", tc path selected"
 
 
-def check_journal_lines(lines: list[str], name: str) -> int:
-    errors = {"none", "transient", "timeout", "corrupt"}
-    n = 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"{name}:{lineno}"
-        try:
-            t = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{where}: bad JSON ({e})") from e
-        _require_keys(t, {"step": int, "config": list, "error": str,
-                          "attempts": int, "gflops": (int, float, type(None)),
-                          "latency_s": (int, float, type(None)),
-                          "cost_s": NUMBER, "elapsed_s": NUMBER}, where)
-        _require(isinstance(t.get("valid"), bool),
-                 f"{where}: key 'valid' must be a boolean")
-        _require(t["error"] in errors,
-                 f"{where}: unknown error kind '{t['error']}'")
-        _require(t["step"] == n,
-                 f"{where}: step {t['step']}, expected {n} "
-                 f"(journal must be gapless and duplicate-free)")
-        _require(t["attempts"] >= 1, f"{where}: attempts < 1")
-        _require(t["cost_s"] >= 0, f"{where}: negative cost_s")
-        for j, v in enumerate(t["config"]):
-            _require(isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-                     f"{where}: config[{j}] is not a non-negative integer")
-        if t["valid"]:
-            _require(t["error"] == "none",
-                     f"{where}: valid trial carries error '{t['error']}'")
-        n += 1
-    _require(n > 0, f"{name}: no journal lines")
-    return n
-
-
-def _check_span_ids(args: object, where: str) -> None:
-    """Distributed-trace id formats, when the event carries them."""
-    if not isinstance(args, dict):
-        return
-    for key, width in (("trace_id", 32), ("span_id", 16),
-                       ("parent_span_id", 16)):
-        if key not in args:
-            continue
-        v = args[key]
-        _require(isinstance(v, str) and len(v) == width
-                 and all(c in "0123456789abcdef" for c in v),
-                 f"{where}: '{key}' must be {width} lowercase hex chars")
-    if "trace_id" in args:
-        _require(set(args["trace_id"]) != {"0"},
-                 f"{where}: all-zero trace_id")
-
-
-def _check_x_event(e: dict, where: str) -> None:
-    _require_keys(e, {"name": str, "ph": str, "ts": NUMBER}, where)
-    _require(e["ts"] >= 0, f"{where}: negative ts")
-    _require(e["ts"] < 1e15, f"{where}: implausible ts (wrapped clock?)")
-    if e["ph"] == "X":
-        _require_keys(e, {"dur": NUMBER}, where)
-        _require(e["dur"] >= 0, f"{where}: negative dur")
-        _check_span_ids(e.get("args"), where)
-
-
-def check_trace(doc: object, name: str) -> int:
-    _require_keys(doc, {"traceEvents": list}, name)
-    events = doc["traceEvents"]
-    _require(len(events) > 0, f"{name}: empty traceEvents")
-    for i, e in enumerate(events):
-        _check_x_event(e, f"{name}: traceEvents[{i}]")
-    return len(events)
-
-
-def check_trace_lines(lines: list[str], name: str) -> int:
-    """JSONL trace segments (GLIMPSE_TRACE=<path>.jsonl, appendable)."""
-    n = 0
-    in_segment = False
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"{name}:{lineno}"
-        try:
-            e = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{where}: bad JSON ({exc})") from exc
-        _require(isinstance(e, dict), f"{where}: expected an object")
-        if e.get("name") == "trace_meta":
-            _require(e.get("ph") == "M", f"{where}: trace_meta must be 'M'")
-            args = e.get("args")
-            _require(isinstance(args, dict), f"{where}: trace_meta needs args")
-            _require_keys(args, {"process": str, "base_unix_ns": int},
-                          f"{where}: trace_meta args")
-            in_segment = True
-            continue
-        _require(in_segment,
-                 f"{where}: event before any trace_meta segment header")
-        _require(e.get("ph") in ("X", "M"),
-                 f"{where}: unexpected phase '{e.get('ph')}'")
-        _check_x_event(e, where)
-        if e["ph"] == "X":
-            n += 1
-    _require(in_segment, f"{name}: no trace_meta segment header")
-    _require(n > 0, f"{name}: no span events")
-    return n
-
-
-def check_metrics_lines(lines: list[str], name: str) -> int:
-    kinds = {"counter", "gauge", "histogram"}
-    n = 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"{name}:{lineno}"
-        try:
-            m = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{where}: bad JSON ({e})") from e
-        _require_keys(m, {"name": str, "type": str}, where)
-        _require(m["type"] in kinds,
-                 f"{where}: unknown metric type '{m['type']}'")
-        if m["type"] in ("counter", "gauge"):
-            _require_keys(m, {"value": NUMBER}, where)
-        else:
-            _require_keys(m, {"count": int, "sum": NUMBER, "min": NUMBER,
-                              "max": NUMBER, "p50": NUMBER, "p90": NUMBER,
-                              "p99": NUMBER, "buckets": list}, where)
-            total = 0
-            for j, b in enumerate(m["buckets"]):
-                bwhere = f"{where}: buckets[{j}]"
-                _require_keys(b, {"count": int}, bwhere)
-                _require("le" in b, f"{bwhere}: missing key 'le'")
-                _require(b["le"] is None or isinstance(b["le"], NUMBER),
-                         f"{bwhere}: 'le' must be a number or null")
-                total += b["count"]
-            _require(total == m["count"],
-                     f"{where}: bucket counts sum to {total}, "
-                     f"but count={m['count']}")
-        n += 1
-    _require(n > 0, f"{name}: no metric lines")
-    return n
+# --check-<gate> -> (the kind it applies to, the gate). A gate runs on a
+# document of that kind that already validated; it returns a summary line
+# and raises ValidationError on a regression.
+GATES = {
+    "speedup": ("bench", check_speedup),
+    "fleet-scaling": ("fleet", check_fleet_scaling),
+    "warmstart": ("warmstart", check_warmstart_gate),
+    "scenarios": ("scenarios", check_scenarios_gate),
+}
 
 
 # ---- dispatch ---------------------------------------------------------------
 
 
+# kind -> (counted list, summary, rules). A JSON kind's rules run on the
+# document once SCHEMAS[kind] accepts it, and the summary counts the items
+# of its counted list. A JSONL kind (counted list None) hands its rules the
+# parsed lines, and the rules return the count, which must not be zero.
+KINDS = {
+    "bench": ("paths", "bench json, {} path(s)", lambda doc, name: None),
+    "trace": ("traceEvents", "chrome trace, {} event(s)", _trace_rules),
+    "metrics": (None, "metrics jsonl, {} metric(s)", _metrics_rules),
+    "faults": ("fault_paths", "faults json, {} fault path(s)", _faults_rules),
+    "journal": (None, "session journal, {} trial(s)", _journal_rules),
+    "cache": ("sweeps", "cache json, {} sweep(s)", _cache_rules),
+    "service": ("scenarios", "service json, {} scenario(s)", _service_rules),
+    "fleet": ("points", "fleet json, {} point(s)", _fleet_rules),
+    "warmstart": ("arms", "warmstart json, {} arm(s)", _warmstart_rules),
+    "scenarios": ("scenario_sweeps", "scenarios json, {} sweep(s)",
+                  _scenarios_rules),
+}
+# A trace file that is not one Chrome trace document holds JSONL segments.
+TRACE_JSONL = (None, "trace jsonl, {} span(s)", _trace_lines_rules)
+
+# (top-level keys, kind); the first match wins. LINE_SNIFF looks at the
+# first line of a file, DOC_SNIFF at the whole document. A file that parses
+# as neither is JSONL metrics; an unmatched document is a bench file.
+LINE_SNIFF = [(("step", "config"), "journal"), (("ph",), "trace"),
+              (("name", "type"), "metrics")]
+DOC_SNIFF = [(("traceEvents",), "trace"), (("fault_paths",), "faults"),
+             (("sweeps",), "cache"), (("scenario_sweeps",), "scenarios"),
+             (("scenarios",), "service"), (("scaling_4v1",), "fleet"),
+             (("arms",), "warmstart")]
+
+
+def _sniff(doc: object, table: list) -> str | None:
+    hits = (kind for keys, kind in table
+            if isinstance(doc, dict) and all(k in doc for k in keys))
+    return next(hits, None)
+
+
+def _loads(text: str) -> object:
+    """The JSON value of text, or None when text is not JSON (a JSON null
+    is no valid file of any kind either)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return None
+
+
 def sniff_kind(text: str) -> str:
-    stripped = text.lstrip()
-    first_line = stripped.splitlines()[0] if stripped else ""
-    try:
-        doc = json.loads(first_line)
-        if isinstance(doc, dict) and "step" in doc and "config" in doc:
-            return "journal"
-        if isinstance(doc, dict) and "ph" in doc:
-            return "trace"  # JSONL trace segment (trace_meta or event line)
-        if isinstance(doc, dict) and "name" in doc and "type" in doc:
-            return "metrics"
-    except json.JSONDecodeError:
-        pass
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        return "metrics"  # multi-line JSONL; per-line errors surface there
-    if isinstance(doc, dict) and "traceEvents" in doc:
-        return "trace"
-    if isinstance(doc, dict) and "fault_paths" in doc:
-        return "faults"
-    if isinstance(doc, dict) and "sweeps" in doc:
-        return "cache"
-    if isinstance(doc, dict) and "scenario_sweeps" in doc:
-        return "scenarios"
-    if isinstance(doc, dict) and "scenarios" in doc:
-        return "service"
-    if isinstance(doc, dict) and "scaling_4v1" in doc:
-        return "fleet"
-    if isinstance(doc, dict) and "arms" in doc:
-        return "warmstart"
-    return "bench"
+    lines = text.lstrip().splitlines()
+    doc = _loads(text)
+    # A whole file that is not JSON is multi-line JSONL: metrics, whose
+    # per-line checks say what is wrong.
+    return (_sniff(_loads(lines[0]) if lines else None, LINE_SNIFF)
+            or _sniff(doc, DOC_SNIFF)
+            or ("metrics" if doc is None else "bench"))
 
 
-def check_file(path: Path, kind: str | None, gate_speedup: bool = False,
-               gate_fleet: bool = False, gate_warmstart: bool = False,
-               gate_scenarios: bool = False) -> str:
-    text = path.read_text()
+def _json_lines(text: str, name: str) -> list:
+    """(where, object) for every non-blank line."""
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        where, line = f"{name}:{lineno}", line.strip()
+        if line:
+            try:
+                out.append((where, json.loads(line)))
+            except json.JSONDecodeError as e:
+                raise ValidationError(f"{where}: bad JSON ({e})") from e
+    return out
+
+
+def check_file(path: Path, kind: str | None = None,
+               gate: str | None = None) -> str:
+    text, name = path.read_text(), str(path)
     kind = kind or sniff_kind(text)
-    if gate_scenarios:
-        _require(kind == "scenarios",
-                 f"{path}: --check-scenarios only applies to scenarios json "
+    if gate:
+        gate_kind, run_gate = GATES[gate]
+        _require(kind == gate_kind,
+                 f"{name}: --check-{gate} only applies to {gate_kind} json "
                  f"(sniffed '{kind}')")
-        return check_scenarios_gate(json.loads(text), str(path))
-    if gate_speedup:
-        _require(kind == "bench",
-                 f"{path}: --check-speedup only applies to bench json "
-                 f"(sniffed '{kind}')")
-        return check_speedup(json.loads(text), str(path))
-    if gate_fleet:
-        _require(kind == "fleet",
-                 f"{path}: --check-fleet-scaling only applies to fleet json "
-                 f"(sniffed '{kind}')")
-        return check_fleet_scaling(json.loads(text), str(path))
-    if gate_warmstart:
-        _require(kind == "warmstart",
-                 f"{path}: --check-warmstart only applies to warmstart json "
-                 f"(sniffed '{kind}')")
-        return check_warmstart_gate(json.loads(text), str(path))
-    if kind == "bench":
-        n = check_bench(json.loads(text), str(path))
-        return f"bench json, {n} path(s)"
-    if kind == "trace":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError:
-            doc = None
-        if isinstance(doc, dict) and "traceEvents" in doc:
-            n = check_trace(doc, str(path))
-            return f"chrome trace, {n} event(s)"
-        n = check_trace_lines(text.splitlines(), str(path))
-        return f"trace jsonl, {n} span(s)"
-    if kind == "metrics":
-        n = check_metrics_lines(text.splitlines(), str(path))
-        return f"metrics jsonl, {n} metric(s)"
-    if kind == "faults":
-        n = check_faults(json.loads(text), str(path))
-        return f"faults json, {n} fault path(s)"
-    if kind == "journal":
-        n = check_journal_lines(text.splitlines(), str(path))
-        return f"session journal, {n} trial(s)"
-    if kind == "cache":
-        n = check_cache(json.loads(text), str(path))
-        return f"cache json, {n} sweep(s)"
-    if kind == "service":
-        n = check_service(json.loads(text), str(path))
-        return f"service json, {n} scenario(s)"
-    if kind == "fleet":
-        n = check_fleet(json.loads(text), str(path))
-        return f"fleet json, {n} point(s)"
-    if kind == "warmstart":
-        n = check_warmstart(json.loads(text), str(path))
-        return f"warmstart json, {n} arm(s)"
-    if kind == "scenarios":
-        n = check_scenarios(json.loads(text), str(path))
-        return f"scenarios json, {n} sweep(s)"
-    raise ValidationError(f"{path}: unknown kind '{kind}'")
+    _require(kind in KINDS, f"{name}: unknown kind '{kind}'")
+    counted, summary, rules = KINDS[kind]
+    if kind == "trace" and _sniff(_loads(text), DOC_SNIFF) != "trace":
+        counted, summary, rules = TRACE_JSONL
+    if counted is None:
+        n = rules(_json_lines(text, name), name)
+        _require(n > 0, f"{name}: nothing to check ({summary.format(0)})")
+        return summary.format(n)
+    doc = json.loads(text)
+    check_schema(doc, SCHEMAS[kind], name)
+    rules(doc, name)
+    return run_gate(doc, name) if gate else summary.format(len(doc[counted]))
 
 
 # ---- selftest ---------------------------------------------------------------
@@ -1166,23 +990,20 @@ def selftest() -> int:
                                              '"tc_selected": false'), False),
         ("scenarios gate rejects non-scenarios input", "scenarios-gate",
          json.dumps(VALID_SERVICE), False),
+        ("metrics bucket le is a boolean", "metrics",
+         VALID_METRICS.replace('"le": 0.5', '"le": true'), False),
     ]
     failures = 0
     with tempfile.TemporaryDirectory(prefix="check_bench_json_") as tmp:
         for i, (desc, kind, content, should_pass) in enumerate(cases):
             path = Path(tmp) / f"case_{i}.json"
             path.write_text(content)
+            # A case tag that names no kind names a gate ("speedup",
+            # "fleet-scaling", "warmstart-gate", "scenarios-gate").
+            gate = (kind.removesuffix("-gate")
+                    if kind and kind not in KINDS else None)
             try:
-                if kind == "speedup":
-                    check_file(path, None, gate_speedup=True)
-                elif kind == "fleet-scaling":
-                    check_file(path, None, gate_fleet=True)
-                elif kind == "warmstart-gate":
-                    check_file(path, None, gate_warmstart=True)
-                elif kind == "scenarios-gate":
-                    check_file(path, None, gate_scenarios=True)
-                else:
-                    check_file(path, kind)
+                check_file(path, None if gate else kind, gate)
                 passed = True
             except (ValidationError, json.JSONDecodeError):
                 passed = False
@@ -1202,26 +1023,27 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("files", nargs="*", type=Path,
                         help="files to validate")
-    parser.add_argument("--kind",
-                        choices=["bench", "trace", "metrics", "faults",
-                                 "journal", "cache", "service", "fleet",
-                                 "warmstart", "scenarios"],
+    parser.add_argument("--kind", choices=list(KINDS),
                         help="force the file kind instead of sniffing")
     parser.add_argument("--selftest", action="store_true",
                         help="run the built-in validator test cases")
-    parser.add_argument("--check-speedup", action="store_true",
+    parser.add_argument("--check-speedup", dest="gate",
+                        action="store_const", const="speedup",
                         help="gate bench files against per-path parallel "
                              "speedup floors (perf regression gate)")
-    parser.add_argument("--check-fleet-scaling", action="store_true",
+    parser.add_argument("--check-fleet-scaling", dest="gate",
+                        action="store_const", const="fleet-scaling",
                         help="gate fleet files against the aggregate "
                              "jobs/sec scaling floor (skips on hosts with "
                              "fewer cores than the largest shard count)")
-    parser.add_argument("--check-warmstart", action="store_true",
+    parser.add_argument("--check-warmstart", dest="gate",
+                        action="store_const", const="warmstart",
                         help="gate warmstart files: every arm must hold "
                              "cold-run quality with >= 50%% fewer measurer "
                              "invocations and thread-count-identical "
                              "decisions (never skipped)")
-    parser.add_argument("--check-scenarios", action="store_true",
+    parser.add_argument("--check-scenarios", dest="gate",
+                        action="store_const", const="scenarios",
                         help="gate scenarios files: per kind the optimum "
                              "must move across >= 3 Blueprints, tensor "
                              "cores must win on TC silicon and never off "
@@ -1237,8 +1059,7 @@ def main(argv: list[str]) -> int:
     status = 0
     for path in args.files:
         try:
-            print(f"[ok] {path}: "
-                  f"{check_file(path, args.kind, args.check_speedup, args.check_fleet_scaling, args.check_warmstart, args.check_scenarios)}")
+            print(f"[ok] {path}: {check_file(path, args.kind, args.gate)}")
         except FileNotFoundError:
             print(f"[FAIL] {path}: no such file", file=sys.stderr)
             status = 1

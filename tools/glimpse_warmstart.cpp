@@ -6,8 +6,8 @@
 //       --gpu "RTX 2080 Ti" [--predictor predictor.txt] [--top-k 8]
 //
 // `train` mines every tier-*.jsonl in --tiers for valid measurements whose
-// task/hardware fingerprints resolve against the built-in model zoo
-// (alexnet, resnet18, vgg16) and GPU database, normalizes each record's
+// task/hardware fingerprints resolve against the built-in model zoo (every
+// model the daemon serves) and GPU database, normalizes each record's
 // gflops by its (task, device) group's best, and fits the ConfigPredictor
 // MLP on the result. Training is seeded and bit-deterministic: the same
 // tiers always produce a byte-identical predictor file.
@@ -24,7 +24,9 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hwspec/database.hpp"
@@ -50,21 +52,17 @@ namespace fs = std::filesystem;
   std::exit(error.empty() ? 0 : 2);
 }
 
-searchspace::Model model_by_name(const std::string& name) {
-  if (name == "alexnet") return searchspace::alexnet();
-  if (name == "resnet18") return searchspace::resnet18();
-  if (name == "vgg16") return searchspace::vgg16();
-  usage("unknown model '" + name + "' (alexnet, resnet18, vgg16)");
-}
-
 int cmd_train(const std::string& tiers_dir, const std::string& out_path,
               const tuning::PredictorTrainOptions& topts) {
   // Fingerprint inversion: every task the daemon can serve, every GPU the
   // database knows. Tier entries resolving to neither are skipped — without
   // a Task there are no transfer features, without a datasheet no Blueprint.
+  std::vector<searchspace::Model> models = searchspace::evaluation_models();
+  for (searchspace::Model& m : searchspace::scenario_models())
+    models.push_back(std::move(m));
   std::vector<std::unique_ptr<searchspace::TaskSet>> sets;
   std::map<std::uint64_t, const searchspace::Task*> tasks;
-  for (const searchspace::Model& m : searchspace::evaluation_models()) {
+  for (const searchspace::Model& m : models) {
     sets.push_back(std::make_unique<searchspace::TaskSet>(m));
     const searchspace::TaskSet& ts = *sets.back();
     for (std::size_t i = 0; i < ts.num_tasks(); ++i)
@@ -133,7 +131,13 @@ int cmd_seeds(const std::string& tiers_dir, const std::string& model,
               std::size_t task_index, const std::string& gpu,
               const std::string& predictor_path, std::size_t top_k,
               double tau) {
-  const searchspace::TaskSet ts(model_by_name(model));
+  searchspace::Model zoo_model;
+  try {
+    zoo_model = searchspace::model_by_name(model);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
+  const searchspace::TaskSet ts(std::move(zoo_model));
   if (task_index >= ts.num_tasks())
     usage("task index out of range (model has " +
           std::to_string(ts.num_tasks()) + " tasks)");
