@@ -39,6 +39,8 @@ struct MeasureResult {
   double latency_s = 0.0;  ///< mean measured latency (with noise); 0 if invalid
   double gflops = 0.0;     ///< 0 if invalid
   double cost_s = 0.0;     ///< simulated wall-clock cost of this measurement
+
+  friend bool operator==(const MeasureResult&, const MeasureResult&) = default;
 };
 
 struct MeasureOptions {

@@ -1,10 +1,13 @@
 #include "service/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <initializer_list>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "common/json_reader.hpp"
 #include "common/json_writer.hpp"
@@ -15,8 +18,42 @@ namespace glimpse::service {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Field extraction helpers (shared by the request/response converters).
+// Field tables. Every payload (a message's type-specific members, a JobSpec,
+// a JobSummary, ServiceStats, a spool record) is one table of Field rows;
+// check_keys, read_fields and write_fields walk those rows in order, so a
+// field is described once and parsed and encoded from the same row.
 // ---------------------------------------------------------------------------
+
+/// One member of a payload: its key, the struct member it lives in, its
+/// bounds and whether it may be absent. A row without a member (monostate)
+/// marks a field its payload reads and writes by hand at that position.
+template <typename T>
+struct Field {
+  std::string_view key;
+  std::variant<std::monostate, std::uint64_t T::*, std::int64_t T::*,
+               std::string T::*, double T::*, bool T::*, JobSpec T::*,
+               JobSummary T::*, ServiceStats T::*>
+      member;
+  // Integers: the value range. Strings: the length range. Signed low and
+  // unsigned high bounds cover both priority (negative) and full-range u64s.
+  std::int64_t lo = 0;
+  std::uint64_t hi = UINT64_MAX;
+  bool required = true;
+};
+template <typename T>
+using Fields = std::span<const Field<T>>;
+
+template <typename... F>
+struct Overloaded : F... {
+  using F::operator()...;
+};
+
+/// True when row `f` holds member `m`.
+template <typename T, typename M>
+bool is(const Field<T>& f, M T::*m) {
+  const auto* held = std::get_if<M T::*>(&f.member);
+  return held != nullptr && *held == m;
+}
 
 /// Sets `error` to `why` and returns false.
 bool fail(std::string& error, std::string why) {
@@ -35,98 +72,342 @@ const JsonValue* find(const JsonValue& obj, std::string_view key) {
   return nullptr;
 }
 
-bool check_keys(const JsonValue& obj, std::initializer_list<std::string_view> allowed,
-                std::string& error) {
-  for (const auto& [k, v] : obj.object) {
-    bool ok = false;
-    for (std::string_view a : allowed)
-      if (k == a) {
-        ok = true;
-        break;
-      }
-    if (!ok) return fail(error, "unknown key '" + k + "'");
-  }
-  return true;
-}
+// Scalar readers: one per member type, checking kind then bounds.
 
-bool get_u64(const JsonValue& obj, std::string_view key, std::uint64_t& out,
-             std::uint64_t lo, std::uint64_t hi, std::string& error,
-             bool required = true) {
-  const JsonValue* v = find(obj, key);
-  if (!v) return !required || fail(error, "missing key '" + std::string(key) + "'");
+bool read_value(const JsonValue& v, std::string_view key, std::int64_t lo,
+                std::uint64_t hi, std::uint64_t& out, std::string& error) {
   std::uint64_t x;
-  if (v->kind == JsonValue::kInt && v->i >= 0) {
-    x = static_cast<std::uint64_t>(v->i);
-  } else if (v->kind == JsonValue::kUint) {
-    x = v->u;
+  if (v.kind == JsonValue::kInt && v.i >= 0) {
+    x = static_cast<std::uint64_t>(v.i);
+  } else if (v.kind == JsonValue::kUint) {
+    x = v.u;
   } else {
     return key_fail(error, key, "must be a non-negative integer");
   }
-  if (x < lo || x > hi) return key_fail(error, key, "out of range");
+  if (x < static_cast<std::uint64_t>(lo) || x > hi)
+    return key_fail(error, key, "out of range");
   out = x;
   return true;
 }
 
-bool get_i64(const JsonValue& obj, std::string_view key, std::int64_t& out,
-             std::int64_t lo, std::int64_t hi, std::string& error) {
-  const JsonValue* v = find(obj, key);
-  if (!v) return fail(error, "missing key '" + std::string(key) + "'");
-  if (v->kind != JsonValue::kInt) return key_fail(error, key, "must be an integer");
-  if (v->i < lo || v->i > hi) return key_fail(error, key, "out of range");
-  out = v->i;
+bool read_value(const JsonValue& v, std::string_view key, std::int64_t lo,
+                std::uint64_t hi, std::int64_t& out, std::string& error) {
+  if (v.kind != JsonValue::kInt) return key_fail(error, key, "must be an integer");
+  if (v.i < lo || (v.i > 0 && static_cast<std::uint64_t>(v.i) > hi))
+    return key_fail(error, key, "out of range");
+  out = v.i;
   return true;
 }
 
-bool get_string(const JsonValue& obj, std::string_view key, std::string& out,
-                std::size_t max_len, bool allow_empty, std::string& error) {
-  const JsonValue* v = find(obj, key);
-  if (!v) return fail(error, "missing key '" + std::string(key) + "'");
-  if (v->kind != JsonValue::kString) return key_fail(error, key, "must be a string");
-  if (v->s.size() > max_len || (!allow_empty && v->s.empty()))
+bool read_value(const JsonValue& v, std::string_view key, std::int64_t lo,
+                std::uint64_t hi, std::string& out, std::string& error) {
+  if (v.kind != JsonValue::kString) return key_fail(error, key, "must be a string");
+  if (v.s.size() < static_cast<std::uint64_t>(lo) || v.s.size() > hi)
     return key_fail(error, key, "has bad length");
-  out = v->s;
+  out = v.s;
   return true;
 }
 
-bool get_nonneg_double(const JsonValue& obj, std::string_view key, double& out,
-                       std::string& error, bool required = true) {
-  const JsonValue* v = find(obj, key);
-  if (!v) return !required || fail(error, "missing key '" + std::string(key) + "'");
-  if (!v->is_number()) return key_fail(error, key, "must be a number");
-  double x = v->as_double();
+bool read_value(const JsonValue& v, std::string_view key, std::int64_t,
+                std::uint64_t, double& out, std::string& error) {
+  if (!v.is_number()) return key_fail(error, key, "must be a number");
+  const double x = v.as_double();
   if (!std::isfinite(x) || x < 0.0)
     return key_fail(error, key, "must be finite and non-negative");
   out = x;
   return true;
 }
 
-bool get_bool(const JsonValue& obj, std::string_view key, bool& out,
-              std::string& error, bool required = true) {
-  const JsonValue* v = find(obj, key);
-  if (!v) return !required || fail(error, "missing key '" + std::string(key) + "'");
-  if (v->kind != JsonValue::kBool) return key_fail(error, key, "must be a boolean");
-  out = v->b;
+bool read_value(const JsonValue& v, std::string_view key, std::int64_t,
+                std::uint64_t, bool& out, std::string& error) {
+  if (v.kind != JsonValue::kBool) return key_fail(error, key, "must be a boolean");
+  out = v.b;
   return true;
 }
 
+// Nested payloads, defined below their tables.
+bool read_value(const JsonValue& v, std::string_view key, std::int64_t,
+                std::uint64_t, JobSpec& out, std::string& error);
+bool read_value(const JsonValue& v, std::string_view key, std::int64_t,
+                std::uint64_t, JobSummary& out, std::string& error);
+bool read_value(const JsonValue& v, std::string_view key, std::int64_t,
+                std::uint64_t, ServiceStats& out, std::string& error);
+template <typename X>
+void write_value(JsonWriter& w, const X& x) {
+  w.value(x);
+}
+void write_value(JsonWriter& w, const JobSpec& spec);
+void write_value(JsonWriter& w, const JobSummary& s);
+void write_value(JsonWriter& w, const ServiceStats& s);
+
+/// Reads member `key` of `obj` into `out`. An absent member fails only when
+/// `required`, and then leaves `out` as it was.
+template <typename X>
+bool read_member(const JsonValue& obj, std::string_view key, std::int64_t lo,
+                 std::uint64_t hi, bool required, X& out, std::string& error) {
+  const JsonValue* v = find(obj, key);
+  if (!v) return !required || fail(error, "missing key '" + std::string(key) + "'");
+  return read_value(*v, key, lo, hi, out, error);
+}
+
+/// Fails on the first key of `obj` that is neither a row of `rows` nor one
+/// of the message's envelope keys `extra`.
+template <typename T>
+bool check_keys(const JsonValue& obj, Fields<T> rows,
+                std::initializer_list<std::string_view> extra, std::string& error) {
+  for (const auto& [k, v] : obj.object)
+    if (std::ranges::find(rows, k, &Field<T>::key) == rows.end() &&
+        std::ranges::find(extra, k) == extra.end())
+      return fail(error, "unknown key '" + k + "'");
+  return true;
+}
+
+template <typename T>
+bool read_field(const JsonValue& obj, const Field<T>& f, T& out, std::string& error) {
+  return std::visit(
+      Overloaded{[](std::monostate) { return true; },
+                 [&](auto T::*m) {
+                   return read_member(obj, f.key, f.lo, f.hi, f.required, out.*m,
+                                      error);
+                 }},
+      f.member);
+}
+
+/// The walker: reads every row in order; the first fault wins.
+template <typename T>
+bool read_fields(const JsonValue& obj, Fields<T> rows, T& out, std::string& error) {
+  for (const Field<T>& f : rows)
+    if (!read_field(obj, f, out, error)) return false;
+  return true;
+}
+
+template <typename T>
+void write_field(JsonWriter& w, const Field<T>& f, const T& in) {
+  std::visit(Overloaded{[](std::monostate) {},
+                        [&](auto T::*m) {
+                          w.key(f.key);
+                          write_value(w, in.*m);
+                        }},
+             f.member);
+}
+
+template <typename T>
+void write_fields(JsonWriter& w, Fields<T> rows, const T& in) {
+  for (const Field<T>& f : rows) write_field(w, f, in);
+}
+
+/// Nested payloads must be objects; `key` names the member in the message.
+bool check_object(const JsonValue& v, std::string_view key, std::string& error) {
+  return v.kind == JsonValue::kObject ||
+         fail(error, std::string("'").append(key).append("' must be an object"));
+}
+
+// Keys several payloads share.
+constexpr std::string_view kJobIdKey = "job_id";
+constexpr std::string_view kClientKey = "client";
+
+constexpr Field<JobSpec> kJobSpecFields[] = {
+    {"tuner", &JobSpec::tuner, 1, 64},
+    {"model", &JobSpec::model, 1, 64},
+    {"task", &JobSpec::task_index, 0, 10000},
+    {"gpu", &JobSpec::gpu, 1, 128},
+    {"seed", &JobSpec::seed},
+    {"max_trials", &JobSpec::max_trials, 1, 1000000},
+    {"batch_size", &JobSpec::batch_size, 1, 4096},
+    {"plateau", &JobSpec::plateau_trials, 0, 1000000},
+    {"time_budget_s", &JobSpec::time_budget_s},
+    {.key = "warmstart", .member = &JobSpec::warmstart, .required = false},
+};
+
+constexpr Field<JobSummary> kJobSummaryFields[] = {
+    {kJobIdKey, &JobSummary::job_id},
+    {kClientKey, &JobSummary::client, 0, 256},
+    {"state", &JobSummary::state, 1, 16},
+    {"trials", &JobSummary::trials},
+    {"faulted", &JobSummary::faulted},
+    {"best_gflops", &JobSummary::best_gflops},
+    {"best_config", {}},  // a uint32 array, read and written by hand
+    {"elapsed_s", &JobSummary::elapsed_s},
+    {"error", &JobSummary::error, 0, 1024},
+};
+
+// The v2 additions (jobs_inflight, admitted_prio_*) and the v3 addition
+// (quota_rejections) are optional so older stats payloads still parse.
+constexpr Field<ServiceStats> kStatsFields[] = {
+    {"queue_depth", &ServiceStats::queue_depth},
+    {"running", &ServiceStats::running},
+    {.key = "jobs_inflight", .member = &ServiceStats::jobs_inflight, .required = false},
+    {.key = "admitted_prio_high", .member = &ServiceStats::admitted_prio_high,
+     .required = false},
+    {.key = "admitted_prio_normal", .member = &ServiceStats::admitted_prio_normal,
+     .required = false},
+    {.key = "admitted_prio_low", .member = &ServiceStats::admitted_prio_low,
+     .required = false},
+    {"submitted", &ServiceStats::submitted},
+    {"completed", &ServiceStats::completed},
+    {"cancelled", &ServiceStats::cancelled},
+    {"failed", &ServiceStats::failed},
+    {"rejected", &ServiceStats::rejected},
+    {.key = "quota_rejections", .member = &ServiceStats::quota_rejections,
+     .required = false},
+    {"resumed", &ServiceStats::resumed},
+    {"slots", &ServiceStats::slots},
+    {"cache_enabled", &ServiceStats::cache_enabled},
+    {"cache_hits", &ServiceStats::cache_hits},
+    {"cache_inserts", &ServiceStats::cache_inserts},
+    {"shared_hits", &ServiceStats::shared_hits},
+    {"draining", &ServiceStats::draining},
+};
+// merge_stats sums counters and ORs flags; a stats field of any other type
+// needs its own merge rule first.
+static_assert(std::ranges::all_of(kStatsFields, [](const Field<ServiceStats>& f) {
+  return std::holds_alternative<std::uint64_t ServiceStats::*>(f.member) ||
+         std::holds_alternative<bool ServiceStats::*>(f.member);
+}));
+
+bool read_value(const JsonValue& v, std::string_view key, std::int64_t,
+                std::uint64_t, JobSpec& out, std::string& error) {
+  return check_object(v, key, error) &&
+         check_keys<JobSpec>(v, kJobSpecFields, {}, error) &&
+         read_fields<JobSpec>(v, kJobSpecFields, out, error);
+}
+
+void write_value(JsonWriter& w, const JobSpec& spec) {
+  w.begin_object();
+  for (const Field<JobSpec>& f : kJobSpecFields)
+    // Omitted when true (the default) so old peers never see the key.
+    if (!is(f, &JobSpec::warmstart) || !spec.warmstart) write_field(w, f, spec);
+  w.end_object();
+}
+
+bool read_value(const JsonValue& v, std::string_view key, std::int64_t,
+                std::uint64_t, JobSummary& out, std::string& error) {
+  if (!check_object(v, key, error) ||
+      !check_keys<JobSummary>(v, kJobSummaryFields, {}, error))
+    return false;
+  for (const Field<JobSummary>& f : kJobSummaryFields) {
+    if (!read_field(v, f, out, error)) return false;
+    if (is(f, &JobSummary::state) && !parse_job_state(out.state))
+      return fail(error, "unknown job state '" + out.state + "'");
+    if (std::holds_alternative<std::monostate>(f.member)) {
+      const JsonValue* cfg = find(v, f.key);
+      if (!cfg || cfg->kind != JsonValue::kArray)
+        return fail(error, "'best_config' must be an array");
+      for (const JsonValue& e : cfg->array) {
+        if (e.kind != JsonValue::kInt || e.i < 0 || e.i > 0xffffffffLL)
+          return fail(error, "'best_config' entries must be uint32");
+        out.best_config.push_back(static_cast<std::uint32_t>(e.i));
+      }
+    }
+  }
+  return true;
+}
+
+void write_value(JsonWriter& w, const JobSummary& s) {
+  w.begin_object();
+  for (const Field<JobSummary>& f : kJobSummaryFields) {
+    write_field(w, f, s);
+    if (std::holds_alternative<std::monostate>(f.member)) {
+      w.key(f.key).begin_array();
+      for (std::uint32_t v : s.best_config) w.value(static_cast<std::uint64_t>(v));
+      w.end_array();
+    }
+  }
+  w.end_object();
+}
+
+bool read_value(const JsonValue& v, std::string_view key, std::int64_t,
+                std::uint64_t, ServiceStats& out, std::string& error) {
+  return check_object(v, key, error) &&
+         check_keys<ServiceStats>(v, kStatsFields, {}, error) &&
+         read_fields<ServiceStats>(v, kStatsFields, out, error);
+}
+
+void write_value(JsonWriter& w, const ServiceStats& s) {
+  w.begin_object();
+  write_fields<ServiceStats>(w, kStatsFields, s);
+  w.end_object();
+}
+
+// ---------------------------------------------------------------------------
+// Message types: wire name, enum and payload rows, one table per direction.
+// ---------------------------------------------------------------------------
+
+template <typename T, typename Type>
+struct MessageType {
+  std::string_view name;
+  Type type;
+  Fields<T> payload;
+};
+
+template <typename T, typename Type, std::size_t N>
+const MessageType<T, Type>* find_type(const MessageType<T, Type> (&types)[N],
+                                      Type type) {
+  for (const auto& m : types)
+    if (m.type == type) return &m;
+  return nullptr;
+}
+
+constexpr Field<Request> kSubmitFields[] = {
+    {kClientKey, &Request::client, 1, 256},
+    {"priority", &Request::priority, -100, 100},
+    {"job", &Request::job},
+};
+// status, cancel and subscribe carry the first row; result both.
+constexpr Field<Request> kJobIdFields[] = {
+    {kJobIdKey, &Request::job_id},
+    {.key = "wait", .member = &Request::wait, .required = false},
+};
+constexpr Fields<Request> kJobIdOnly = Fields<Request>(kJobIdFields).first(1);
+
+constexpr MessageType<Request, RequestType> kRequestTypes[] = {
+    {"ping", RequestType::kPing, {}},
+    {"submit", RequestType::kSubmit, kSubmitFields},
+    {"status", RequestType::kStatus, kJobIdOnly},
+    {"result", RequestType::kResult, kJobIdFields},
+    {"cancel", RequestType::kCancel, kJobIdOnly},
+    {"subscribe", RequestType::kSubscribe, kJobIdOnly},
+    {"stats", RequestType::kStats, {}},
+    {"drain", RequestType::kDrain, {}},
+    {"shutdown", RequestType::kShutdown, {}},
+};
+
+constexpr Field<Response> kAcceptedFields[] = {{kJobIdKey, &Response::job_id}};
+constexpr Field<Response> kRejectedFields[] = {
+    {"reason", &Response::reason, 1, 1024},
+    {"retry_after_s", &Response::retry_after_s},
+};
+constexpr Field<Response> kSummaryFields[] = {{"job", &Response::summary}};
+constexpr Field<Response> kStatsPayload[] = {{"stats", &Response::stats}};
+constexpr Field<Response> kErrorFields[] = {{"reason", &Response::reason, 0, 1024}};
+
+constexpr MessageType<Response, ResponseType> kResponseTypes[] = {
+    {"pong", ResponseType::kPong, {}},
+    {"accepted", ResponseType::kAccepted, kAcceptedFields},
+    {"rejected", ResponseType::kRejected, kRejectedFields},
+    {"status", ResponseType::kStatus, kSummaryFields},
+    {"result", ResponseType::kResult, kSummaryFields},
+    {"stats", ResponseType::kStats, kStatsPayload},
+    {"ok", ResponseType::kOk, {}},
+    {"error", ResponseType::kError, kErrorFields},
+};
+
+constexpr Field<SpoolRecord> kSpoolFields[] = {
+    {"id", &SpoolRecord::id},
+    {kClientKey, &SpoolRecord::client, 1, 256},
+    {"priority", &SpoolRecord::priority, -100, 100},
+    {"job", &SpoolRecord::job},
+};
+
+// Envelope members, read before (or, in a spool record, around) the payload.
+
 bool get_version(const JsonValue& obj, int& out, std::string& error) {
   std::uint64_t v = 0;
-  if (!get_u64(obj, "v", v, 0, 1u << 20, error)) return false;
+  if (!read_member(obj, "v", 0, 1u << 20, true, v, error)) return false;
   if (v < static_cast<std::uint64_t>(kMinProtocolVersion) ||
       v > static_cast<std::uint64_t>(kProtocolVersion))
     return fail(error, "unsupported protocol version");
   out = static_cast<int>(v);
-  return true;
-}
-
-/// Optional "auth" member (v3): absent is fine (unauthenticated peers);
-/// when present it must be a non-empty token of sane length.
-bool get_auth(const JsonValue& obj, std::string& out, std::string& error) {
-  const JsonValue* v = find(obj, "auth");
-  if (!v) return true;
-  if (v->kind != JsonValue::kString) return fail(error, "key 'auth' must be a string");
-  if (v->s.empty() || v->s.size() > 256) return fail(error, "key 'auth' has bad length");
-  out = v->s;
   return true;
 }
 
@@ -135,171 +416,23 @@ bool get_auth(const JsonValue& obj, std::string& out, std::string& error) {
 bool get_traceparent(const JsonValue& obj, std::string& out, std::string& error) {
   const JsonValue* v = find(obj, "traceparent");
   if (!v) return true;
-  if (v->kind != JsonValue::kString)
-    return fail(error, "key 'traceparent' must be a string");
+  if (!read_value(*v, "traceparent", 0, UINT64_MAX, out, error)) return false;
   telemetry::TraceContext ctx;
-  if (!telemetry::parse_traceparent(v->s, ctx))
-    return fail(error, "malformed traceparent");
-  out = v->s;
-  return true;
+  return telemetry::parse_traceparent(out, ctx) ||
+         fail(error, "malformed traceparent");
 }
 
-bool parse_job_spec(const JsonValue& obj, JobSpec& out, std::string& error) {
-  if (obj.kind != JsonValue::kObject) return fail(error, "'job' must be an object");
-  if (!check_keys(obj,
-                  {"tuner", "model", "task", "gpu", "seed", "max_trials",
-                   "batch_size", "plateau", "time_budget_s", "warmstart"},
-                  error))
-    return false;
-  JobSpec spec;
-  if (!get_string(obj, "tuner", spec.tuner, 64, false, error)) return false;
-  if (!get_string(obj, "model", spec.model, 64, false, error)) return false;
-  if (!get_u64(obj, "task", spec.task_index, 0, 10000, error)) return false;
-  if (!get_string(obj, "gpu", spec.gpu, 128, false, error)) return false;
-  if (!get_u64(obj, "seed", spec.seed, 0, UINT64_MAX, error)) return false;
-  if (!get_u64(obj, "max_trials", spec.max_trials, 1, 1000000, error)) return false;
-  if (!get_u64(obj, "batch_size", spec.batch_size, 1, 4096, error)) return false;
-  if (!get_u64(obj, "plateau", spec.plateau_trials, 0, 1000000, error)) return false;
-  if (!get_nonneg_double(obj, "time_budget_s", spec.time_budget_s, error))
-    return false;
-  if (!get_bool(obj, "warmstart", spec.warmstart, error, false)) return false;
-  out = std::move(spec);
-  return true;
-}
-
-void write_job_spec(JsonWriter& w, const JobSpec& spec) {
-  w.begin_object();
-  w.kv("tuner", spec.tuner);
-  w.kv("model", spec.model);
-  w.kv("task", spec.task_index);
-  w.kv("gpu", spec.gpu);
-  w.kv("seed", spec.seed);
-  w.kv("max_trials", spec.max_trials);
-  w.kv("batch_size", spec.batch_size);
-  w.kv("plateau", spec.plateau_trials);
-  w.kv("time_budget_s", spec.time_budget_s);
-  // Omitted when true (the default) so old peers never see the key.
-  if (!spec.warmstart) w.kv("warmstart", spec.warmstart);
-  w.end_object();
-}
-
-bool parse_job_summary(const JsonValue& obj, JobSummary& out, std::string& error) {
-  if (obj.kind != JsonValue::kObject) return fail(error, "'job' must be an object");
-  if (!check_keys(obj,
-                  {"job_id", "client", "state", "trials", "faulted",
-                   "best_gflops", "best_config", "elapsed_s", "error"},
-                  error))
-    return false;
-  JobSummary s;
-  if (!get_u64(obj, "job_id", s.job_id, 0, UINT64_MAX, error)) return false;
-  if (!get_string(obj, "client", s.client, 256, true, error)) return false;
-  if (!get_string(obj, "state", s.state, 16, false, error)) return false;
-  if (!parse_job_state(s.state))
-    return fail(error, "unknown job state '" + s.state + "'");
-  if (!get_u64(obj, "trials", s.trials, 0, UINT64_MAX, error)) return false;
-  if (!get_u64(obj, "faulted", s.faulted, 0, UINT64_MAX, error)) return false;
-  if (!get_nonneg_double(obj, "best_gflops", s.best_gflops, error)) return false;
-  const JsonValue* cfg = find(obj, "best_config");
-  if (!cfg || cfg->kind != JsonValue::kArray)
-    return fail(error, "'best_config' must be an array");
-  for (const JsonValue& e : cfg->array) {
-    if (e.kind != JsonValue::kInt || e.i < 0 || e.i > 0xffffffffLL)
-      return fail(error, "'best_config' entries must be uint32");
-    s.best_config.push_back(static_cast<std::uint32_t>(e.i));
-  }
-  if (!get_nonneg_double(obj, "elapsed_s", s.elapsed_s, error)) return false;
-  if (!get_string(obj, "error", s.error, 1024, true, error)) return false;
-  out = std::move(s);
-  return true;
-}
-
-void write_job_summary(JsonWriter& w, const JobSummary& s) {
-  w.begin_object();
-  w.kv("job_id", s.job_id);
-  w.kv("client", s.client);
-  w.kv("state", s.state);
-  w.kv("trials", s.trials);
-  w.kv("faulted", s.faulted);
-  w.kv("best_gflops", s.best_gflops);
-  w.key("best_config");
-  w.begin_array();
-  for (std::uint32_t v : s.best_config) w.value(static_cast<std::uint64_t>(v));
-  w.end_array();
-  w.kv("elapsed_s", s.elapsed_s);
-  w.kv("error", s.error);
-  w.end_object();
-}
-
-bool parse_stats(const JsonValue& obj, ServiceStats& out, std::string& error) {
-  if (obj.kind != JsonValue::kObject) return fail(error, "'stats' must be an object");
-  if (!check_keys(obj,
-                  {"queue_depth", "running", "jobs_inflight",
-                   "admitted_prio_high", "admitted_prio_normal",
-                   "admitted_prio_low", "submitted", "completed", "cancelled",
-                   "failed", "rejected", "quota_rejections", "resumed", "slots",
-                   "cache_enabled", "cache_hits", "cache_inserts",
-                   "shared_hits", "draining"},
-                  error))
-    return false;
-  ServiceStats s;
-  const std::uint64_t kMax = UINT64_MAX;
-  if (!get_u64(obj, "queue_depth", s.queue_depth, 0, kMax, error)) return false;
-  if (!get_u64(obj, "running", s.running, 0, kMax, error)) return false;
-  // v2 additions; optional so v1 stats payloads still parse.
-  if (!get_u64(obj, "jobs_inflight", s.jobs_inflight, 0, kMax, error,
-               /*required=*/false))
-    return false;
-  if (!get_u64(obj, "admitted_prio_high", s.admitted_prio_high, 0, kMax, error,
-               /*required=*/false))
-    return false;
-  if (!get_u64(obj, "admitted_prio_normal", s.admitted_prio_normal, 0, kMax,
-               error, /*required=*/false))
-    return false;
-  if (!get_u64(obj, "admitted_prio_low", s.admitted_prio_low, 0, kMax, error,
-               /*required=*/false))
-    return false;
-  if (!get_u64(obj, "submitted", s.submitted, 0, kMax, error)) return false;
-  if (!get_u64(obj, "completed", s.completed, 0, kMax, error)) return false;
-  if (!get_u64(obj, "cancelled", s.cancelled, 0, kMax, error)) return false;
-  if (!get_u64(obj, "failed", s.failed, 0, kMax, error)) return false;
-  if (!get_u64(obj, "rejected", s.rejected, 0, kMax, error)) return false;
-  // v3 addition; optional so v1/v2 stats payloads still parse.
-  if (!get_u64(obj, "quota_rejections", s.quota_rejections, 0, kMax, error,
-               /*required=*/false))
-    return false;
-  if (!get_u64(obj, "resumed", s.resumed, 0, kMax, error)) return false;
-  if (!get_u64(obj, "slots", s.slots, 0, kMax, error)) return false;
-  if (!get_bool(obj, "cache_enabled", s.cache_enabled, error)) return false;
-  if (!get_u64(obj, "cache_hits", s.cache_hits, 0, kMax, error)) return false;
-  if (!get_u64(obj, "cache_inserts", s.cache_inserts, 0, kMax, error)) return false;
-  if (!get_u64(obj, "shared_hits", s.shared_hits, 0, kMax, error)) return false;
-  if (!get_bool(obj, "draining", s.draining, error)) return false;
-  out = s;
-  return true;
-}
-
-void write_stats(JsonWriter& w, const ServiceStats& s) {
-  w.begin_object();
-  w.kv("queue_depth", s.queue_depth);
-  w.kv("running", s.running);
-  w.kv("jobs_inflight", s.jobs_inflight);
-  w.kv("admitted_prio_high", s.admitted_prio_high);
-  w.kv("admitted_prio_normal", s.admitted_prio_normal);
-  w.kv("admitted_prio_low", s.admitted_prio_low);
-  w.kv("submitted", s.submitted);
-  w.kv("completed", s.completed);
-  w.kv("cancelled", s.cancelled);
-  w.kv("failed", s.failed);
-  w.kv("rejected", s.rejected);
-  w.kv("quota_rejections", s.quota_rejections);
-  w.kv("resumed", s.resumed);
-  w.kv("slots", s.slots);
-  w.kv("cache_enabled", s.cache_enabled);
-  w.kv("cache_hits", s.cache_hits);
-  w.kv("cache_inserts", s.cache_inserts);
-  w.kv("shared_hits", s.shared_hits);
-  w.kv("draining", s.draining);
-  w.end_object();
+/// The type name of a message and the payload rows it carries.
+template <typename T, typename Type, std::size_t N>
+const MessageType<T, Type>* get_type(const JsonValue& obj,
+                                     const MessageType<T, Type> (&types)[N],
+                                     const char* what, std::string& error) {
+  std::string name;
+  if (!read_member(obj, "type", 1, 16, true, name, error)) return nullptr;
+  const auto* m = std::ranges::find(types, name, &MessageType<T, Type>::name);
+  if (m != std::end(types)) return m;
+  fail(error, "unknown " + std::string(what) + " type '" + name + "'");
+  return nullptr;
 }
 
 /// One compact JSON line (no newline; the transport adds it), as `write`
@@ -312,6 +445,23 @@ std::string encode_line(const Write& write) {
     write(w);
   }
   return os.str();
+}
+
+/// A request or response line: version, type, payload rows, then the
+/// optional auth and traceparent members.
+template <typename T, typename Type, std::size_t N>
+std::string encode_message(const MessageType<T, Type> (&types)[N], const T& msg,
+                           std::string_view auth) {
+  const MessageType<T, Type>* m = find_type(types, msg.type);
+  return encode_line([&](JsonWriter& w) {
+    w.begin_object();
+    w.kv("v", static_cast<std::int64_t>(msg.version));
+    w.kv("type", m ? m->name : "?");
+    if (m) write_fields(w, m->payload, msg);
+    if (!auth.empty()) w.kv("auth", auth);
+    if (!msg.traceparent.empty()) w.kv("traceparent", msg.traceparent);
+    w.end_object();
+  });
 }
 
 /// The preamble of every line the daemon reads: the length cap, the strict
@@ -327,18 +477,8 @@ bool parse_object_line(std::string_view line, JsonValue& root,
 }  // namespace
 
 std::string_view to_string(RequestType t) {
-  switch (t) {
-    case RequestType::kPing: return "ping";
-    case RequestType::kSubmit: return "submit";
-    case RequestType::kStatus: return "status";
-    case RequestType::kResult: return "result";
-    case RequestType::kCancel: return "cancel";
-    case RequestType::kSubscribe: return "subscribe";
-    case RequestType::kStats: return "stats";
-    case RequestType::kDrain: return "drain";
-    case RequestType::kShutdown: return "shutdown";
-  }
-  return "?";
+  const auto* m = find_type(kRequestTypes, t);
+  return m ? m->name : "?";
 }
 
 std::string_view to_string(JobState s) {
@@ -361,74 +501,24 @@ std::optional<JobState> parse_job_state(std::string_view name) {
 }
 
 std::string_view to_string(ResponseType t) {
-  switch (t) {
-    case ResponseType::kPong: return "pong";
-    case ResponseType::kAccepted: return "accepted";
-    case ResponseType::kRejected: return "rejected";
-    case ResponseType::kStatus: return "status";
-    case ResponseType::kResult: return "result";
-    case ResponseType::kStats: return "stats";
-    case ResponseType::kOk: return "ok";
-    case ResponseType::kError: return "error";
-  }
-  return "?";
+  const auto* m = find_type(kResponseTypes, t);
+  return m ? m->name : "?";
+}
+
+void merge_stats(ServiceStats& into, const ServiceStats& from) {
+  for (const Field<ServiceStats>& f : kStatsFields)
+    std::visit(Overloaded{[&](std::uint64_t ServiceStats::*m) { into.*m += from.*m; },
+                          [&](bool ServiceStats::*m) { into.*m = into.*m || from.*m; },
+                          [](auto) {}},  // ruled out by the static_assert
+               f.member);
 }
 
 std::string encode_request(const Request& r) {
-  return encode_line([&](JsonWriter& w) {
-    w.begin_object();
-    w.kv("v", static_cast<std::int64_t>(r.version));
-    w.kv("type", to_string(r.type));
-    switch (r.type) {
-      case RequestType::kSubmit:
-        w.kv("client", r.client);
-        w.kv("priority", r.priority);
-        w.key("job");
-        write_job_spec(w, r.job);
-        break;
-      case RequestType::kStatus:
-      case RequestType::kCancel:
-      case RequestType::kSubscribe:
-        w.kv("job_id", r.job_id);
-        break;
-      case RequestType::kResult:
-        w.kv("job_id", r.job_id);
-        w.kv("wait", r.wait);
-        break;
-      default: break;  // ping / stats / drain / shutdown carry no payload
-    }
-    if (!r.auth.empty()) w.kv("auth", r.auth);
-    if (!r.traceparent.empty()) w.kv("traceparent", r.traceparent);
-    w.end_object();
-  });
+  return encode_message(kRequestTypes, r, r.auth);
 }
 
 std::string encode_response(const Response& r) {
-  return encode_line([&](JsonWriter& w) {
-    w.begin_object();
-    w.kv("v", static_cast<std::int64_t>(r.version));
-    w.kv("type", to_string(r.type));
-    switch (r.type) {
-      case ResponseType::kAccepted: w.kv("job_id", r.job_id); break;
-      case ResponseType::kRejected:
-        w.kv("reason", r.reason);
-        w.kv("retry_after_s", r.retry_after_s);
-        break;
-      case ResponseType::kStatus:
-      case ResponseType::kResult:
-        w.key("job");
-        write_job_summary(w, r.summary);
-        break;
-      case ResponseType::kStats:
-        w.key("stats");
-        write_stats(w, r.stats);
-        break;
-      case ResponseType::kError: w.kv("reason", r.reason); break;
-      default: break;  // pong / ok carry no payload
-    }
-    if (!r.traceparent.empty()) w.kv("traceparent", r.traceparent);
-    w.end_object();
-  });
+  return encode_message(kResponseTypes, r, {});
 }
 
 bool parse_request(std::string_view line, Request& out, std::string& error) {
@@ -436,49 +526,19 @@ bool parse_request(std::string_view line, Request& out, std::string& error) {
   if (!parse_object_line(line, root, "request must be a JSON object", error))
     return false;
   Request r;
-  if (!get_version(root, r.version, error)) return false;
-  if (!get_auth(root, r.auth, error)) return false;
-  if (!get_traceparent(root, r.traceparent, error)) return false;
-  std::string type;
-  if (!get_string(root, "type", type, 16, false, error)) return false;
-  if (type == "ping" || type == "stats" || type == "drain" || type == "shutdown") {
-    if (!check_keys(root, {"v", "type", "auth", "traceparent"}, error))
-      return false;
-    r.type = type == "ping"    ? RequestType::kPing
-             : type == "stats" ? RequestType::kStats
-             : type == "drain" ? RequestType::kDrain
-                               : RequestType::kShutdown;
-  } else if (type == "submit") {
-    if (!check_keys(root,
-                    {"v", "type", "client", "priority", "job", "auth",
-                     "traceparent"},
-                    error))
-      return false;
-    r.type = RequestType::kSubmit;
-    if (!get_string(root, "client", r.client, 256, false, error)) return false;
-    if (!get_i64(root, "priority", r.priority, -100, 100, error)) return false;
-    const JsonValue* job = find(root, "job");
-    if (!job) return fail(error, "missing key 'job'");
-    if (!parse_job_spec(*job, r.job, error)) return false;
-  } else if (type == "status" || type == "cancel" || type == "subscribe") {
-    if (!check_keys(root, {"v", "type", "job_id", "auth", "traceparent"}, error))
-      return false;
-    r.type = type == "status"   ? RequestType::kStatus
-             : type == "cancel" ? RequestType::kCancel
-                                : RequestType::kSubscribe;
-    if (r.type == RequestType::kSubscribe && r.version < 3)
-      return fail(error, "'subscribe' requires protocol v3");
-    if (!get_u64(root, "job_id", r.job_id, 0, UINT64_MAX, error)) return false;
-  } else if (type == "result") {
-    if (!check_keys(root, {"v", "type", "job_id", "wait", "auth", "traceparent"},
-                    error))
-      return false;
-    r.type = RequestType::kResult;
-    if (!get_u64(root, "job_id", r.job_id, 0, UINT64_MAX, error)) return false;
-    if (!get_bool(root, "wait", r.wait, error, /*required=*/false)) return false;
-  } else {
-    return fail(error, "unknown request type '" + type + "'");
-  }
+  // "auth" (v3) is optional: absent for unauthenticated peers, else a
+  // non-empty token of sane length.
+  if (!get_version(root, r.version, error) ||
+      !read_member(root, "auth", 1, 256, false, r.auth, error) ||
+      !get_traceparent(root, r.traceparent, error))
+    return false;
+  const auto* m = get_type(root, kRequestTypes, "request", error);
+  if (!m || !check_keys(root, m->payload, {"v", "type", "auth", "traceparent"}, error))
+    return false;
+  r.type = m->type;
+  if (r.type == RequestType::kSubscribe && r.version < 3)
+    return fail(error, "'subscribe' requires protocol v3");
+  if (!read_fields(root, m->payload, r, error)) return false;
   out = std::move(r);
   return true;
 }
@@ -488,48 +548,14 @@ bool parse_response(std::string_view line, Response& out, std::string& error) {
   if (!parse_object_line(line, root, "response must be a JSON object", error))
     return false;
   Response r;
-  if (!get_version(root, r.version, error)) return false;
-  if (!get_traceparent(root, r.traceparent, error)) return false;
-  std::string type;
-  if (!get_string(root, "type", type, 16, false, error)) return false;
-  if (type == "pong" || type == "ok") {
-    if (!check_keys(root, {"v", "type", "traceparent"}, error)) return false;
-    r.type = type == "pong" ? ResponseType::kPong : ResponseType::kOk;
-  } else if (type == "accepted") {
-    if (!check_keys(root, {"v", "type", "job_id", "traceparent"}, error))
-      return false;
-    r.type = ResponseType::kAccepted;
-    if (!get_u64(root, "job_id", r.job_id, 0, UINT64_MAX, error)) return false;
-  } else if (type == "rejected") {
-    if (!check_keys(root, {"v", "type", "reason", "retry_after_s", "traceparent"},
-                    error))
-      return false;
-    r.type = ResponseType::kRejected;
-    if (!get_string(root, "reason", r.reason, 1024, false, error)) return false;
-    if (!get_nonneg_double(root, "retry_after_s", r.retry_after_s, error))
-      return false;
-  } else if (type == "status" || type == "result") {
-    if (!check_keys(root, {"v", "type", "job", "traceparent"}, error))
-      return false;
-    r.type = type == "status" ? ResponseType::kStatus : ResponseType::kResult;
-    const JsonValue* job = find(root, "job");
-    if (!job) return fail(error, "missing key 'job'");
-    if (!parse_job_summary(*job, r.summary, error)) return false;
-  } else if (type == "stats") {
-    if (!check_keys(root, {"v", "type", "stats", "traceparent"}, error))
-      return false;
-    r.type = ResponseType::kStats;
-    const JsonValue* st = find(root, "stats");
-    if (!st) return fail(error, "missing key 'stats'");
-    if (!parse_stats(*st, r.stats, error)) return false;
-  } else if (type == "error") {
-    if (!check_keys(root, {"v", "type", "reason", "traceparent"}, error))
-      return false;
-    r.type = ResponseType::kError;
-    if (!get_string(root, "reason", r.reason, 1024, true, error)) return false;
-  } else {
-    return fail(error, "unknown response type '" + type + "'");
-  }
+  if (!get_version(root, r.version, error) ||
+      !get_traceparent(root, r.traceparent, error))
+    return false;
+  const auto* m = get_type(root, kResponseTypes, "response", error);
+  if (!m || !check_keys(root, m->payload, {"v", "type", "traceparent"}, error) ||
+      !read_fields(root, m->payload, r, error))
+    return false;
+  r.type = m->type;
   out = std::move(r);
   return true;
 }
@@ -545,11 +571,7 @@ std::string encode_spool_record(const SpoolRecord& r) {
   return encode_line([&](JsonWriter& w) {
     w.begin_object();
     w.kv("v", static_cast<std::int64_t>(kProtocolVersion));
-    w.kv("id", r.id);
-    w.kv("client", r.client);
-    w.kv("priority", r.priority);
-    w.key("job");
-    write_job_spec(w, r.job);
+    write_fields<SpoolRecord>(w, kSpoolFields, r);
     if (!r.traceparent.empty()) w.kv("traceparent", r.traceparent);
     w.end_object();
   });
@@ -560,31 +582,29 @@ bool parse_spool_record(std::string_view line, SpoolRecord& out, std::string& er
   if (!parse_object_line(line, root, "spool record must be a JSON object", error))
     return false;
   int version = 0;
-  if (!get_version(root, version, error)) return false;
-  if (!check_keys(root, {"v", "id", "client", "priority", "job", "traceparent"},
-                  error))
-    return false;
   SpoolRecord r;
-  if (!get_traceparent(root, r.traceparent, error)) return false;
-  if (!get_u64(root, "id", r.id, 0, UINT64_MAX, error)) return false;
-  if (!get_string(root, "client", r.client, 256, false, error)) return false;
-  if (!get_i64(root, "priority", r.priority, -100, 100, error)) return false;
-  const JsonValue* job = find(root, "job");
-  if (!job) return fail(error, "missing key 'job'");
-  if (!parse_job_spec(*job, r.job, error)) return false;
+  if (!get_version(root, version, error) ||
+      !check_keys<SpoolRecord>(root, kSpoolFields, {"v", "traceparent"}, error) ||
+      !get_traceparent(root, r.traceparent, error) ||
+      !read_fields<SpoolRecord>(root, kSpoolFields, r, error))
+    return false;
   out = std::move(r);
   return true;
 }
 
 std::string encode_job_summary(const JobSummary& s) {
-  return encode_line([&](JsonWriter& w) { write_job_summary(w, s); });
+  return encode_line([&](JsonWriter& w) { write_value(w, s); });
 }
 
 bool parse_job_summary_line(std::string_view line, JobSummary& out,
                             std::string& error) {
   JsonValue root;
-  return parse_object_line(line, root, "'job' must be an object", error) &&
-         parse_job_summary(root, out, error);
+  JobSummary s;
+  if (!parse_object_line(line, root, "'job' must be an object", error) ||
+      !read_value(root, "job", 0, 0, s, error))
+    return false;
+  out = std::move(s);
+  return true;
 }
 
 }  // namespace glimpse::service

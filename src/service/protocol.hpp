@@ -175,6 +175,11 @@ struct ServiceStats {
   friend bool operator==(const ServiceStats&, const ServiceStats&) = default;
 };
 
+/// Folds `from` into `into` the way a fleet aggregates its shards' stats:
+/// every counter is summed and every flag OR-ed. Driven by the same field
+/// table as the wire encoding, so a new stats field needs no edit here.
+void merge_stats(ServiceStats& into, const ServiceStats& from);
+
 enum class ResponseType {
   kPong,
   kAccepted,

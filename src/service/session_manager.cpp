@@ -125,7 +125,7 @@ void SessionManager::stop() {
 
 std::uint64_t SessionManager::recovered() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return resumed_;
+  return counts_.resumed;
 }
 
 bool SessionManager::draining() const {
@@ -262,14 +262,15 @@ Response SessionManager::submit(const std::string& client, std::int64_t priority
                                    : telemetry::TraceContext{};
 
   std::lock_guard<std::mutex> lock(mu_);
-  Response r;
-  if (draining_ || stop_) {
-    ++rejected_;
+  const auto reject = [&](std::string reason, double retry_after_s) {
+    ++counts_.rejected;
+    Response r;
     r.type = ResponseType::kRejected;
-    r.reason = "draining";
-    r.retry_after_s = options_.queue.retry_after_s;
+    r.reason = std::move(reason);
+    r.retry_after_s = retry_after_s;
     return r;
-  }
+  };
+  if (draining_ || stop_) return reject("draining", options_.queue.retry_after_s);
   if (options_.quota_gpu_s > 0.0) {
     auto spent = quota_spent_.find(client);
     if (spent != quota_spent_.end() && spent->second >= options_.quota_gpu_s) {
@@ -279,27 +280,15 @@ Response SessionManager::submit(const std::string& client, std::int64_t priority
       // infinite retry loop. retry_after_s = 0 means "terminal: don't
       // retry"; only an operator restarting the daemon or raising the quota
       // can clear it.
-      ++rejected_;
-      ++quota_rejections_;
-      r.type = ResponseType::kRejected;
-      r.reason = "quota_exhausted";
-      r.retry_after_s = 0.0;
-      return r;
+      ++counts_.quota_rejections;
+      return reject("quota_exhausted", 0.0);
     }
   }
   const std::uint64_t id = next_id_;
   Admission adm = queue_.push(QueuedJob{id, client, priority, spec});
-  if (!adm.accepted) {
-    ++rejected_;
-    r.type = ResponseType::kRejected;
-    r.reason = adm.reason;
-    r.retry_after_s = adm.retry_after_s;
-    return r;
-  }
+  if (!adm.accepted) return reject(adm.reason, adm.retry_after_s);
   ++next_id_;
-  if (priority > 0) ++admitted_high_;
-  else if (priority < 0) ++admitted_low_;
-  else ++admitted_normal_;
+  count_admission(priority);
   auto rec = std::make_unique<JobRecord>();
   rec->id = id;
   rec->client = client;
@@ -323,13 +312,14 @@ Response SessionManager::submit(const std::string& client, std::int64_t priority
       persist_spec(*rec);
     } catch (const std::exception& e) {
       queue_.erase(id);
-      ++rejected_;
+      ++counts_.rejected;
       return error_response(std::string("spool write failed: ") + e.what());
     }
   }
   records_.emplace(id, std::move(rec));
-  ++submitted_;
+  ++counts_.submitted;
   worker_cv_.notify_all();
+  Response r;
   r.type = ResponseType::kAccepted;
   r.job_id = id;
   return r;
@@ -429,21 +419,12 @@ Response SessionManager::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Response r;
   r.type = ResponseType::kStats;
+  r.stats = counts_;
   ServiceStats& s = r.stats;
   s.queue_depth = queue_.depth();
   for (const auto& [id, rec] : records_)
     if (rec->state == JobState::kRunning) ++s.running;
   s.jobs_inflight = s.queue_depth + s.running;
-  s.admitted_prio_high = admitted_high_;
-  s.admitted_prio_normal = admitted_normal_;
-  s.admitted_prio_low = admitted_low_;
-  s.submitted = submitted_;
-  s.completed = completed_;
-  s.cancelled = cancelled_;
-  s.failed = failed_;
-  s.rejected = rejected_;
-  s.quota_rejections = quota_rejections_;
-  s.resumed = resumed_;
   s.slots = options_.slots;
   s.cache_enabled = cache_ != nullptr;
   if (cache_) {
@@ -451,7 +432,6 @@ Response SessionManager::stats() const {
     s.cache_hits = cs.hits;
     s.cache_inserts = cs.inserts;
   }
-  s.shared_hits = shared_hits_;
   s.draining = draining_;
   return r;
 }
@@ -605,7 +585,7 @@ void SessionManager::recover_spool() {
       // Settled before the previous daemon died: keep it queryable.
       rec->summary = std::move(f.done);
       rec->state = *parse_job_state(rec->summary.state);
-      ++submitted_;
+      ++counts_.submitted;
       ++settled_counter(rec->state);
       records_.emplace(id, std::move(rec));
       continue;
@@ -629,11 +609,9 @@ void SessionManager::recover_spool() {
       rec->enqueue_ns = telemetry::now_ns();
     queue_.push(QueuedJob{id, rec->client, rec->priority, rec->spec},
                 /*force=*/true);
-    if (rec->priority > 0) ++admitted_high_;
-    else if (rec->priority < 0) ++admitted_low_;
-    else ++admitted_normal_;
-    ++submitted_;
-    ++resumed_;
+    count_admission(rec->priority);
+    ++counts_.submitted;
+    ++counts_.resumed;
     LOG_INFO << "recovered spooled job " << id
              << (have_ckpt ? " (resuming from checkpoint)" : " (restarting)");
     records_.emplace(id, std::move(rec));
@@ -758,7 +736,7 @@ void SessionManager::worker_loop() {
     lock.lock();
     // Read the scheduler only here, under the lock, never while a round
     // runs: stats() reports this snapshot.
-    shared_hits_ = retired_shared_hits_ + scheduler_->shared_hits();
+    counts_.shared_hits = retired_shared_hits_ + scheduler_->shared_hits();
     if (threw) {
       LOG_ERROR << "scheduler round failed: " << what;
       for (auto& [id, rec] : records_)
@@ -770,7 +748,7 @@ void SessionManager::worker_loop() {
       // re-running the failing round forever on a persistent error (e.g. a
       // full disk during checkpointing). Replace the scheduler outright:
       // queued jobs are re-admitted into the fresh one next iteration.
-      retired_shared_hits_ = shared_hits_;
+      retired_shared_hits_ = counts_.shared_hits;
       scheduler_ = std::make_unique<tuning::Scheduler>(
           tuning::SchedulerOptions{options_.slots});
       continue;

@@ -159,8 +159,15 @@ class SessionManager : public RequestHandler {
   void finalize_locked(JobRecord& rec, JobState state, std::string error);
   /// The completed/cancelled/failed counter of a settled state.
   std::uint64_t& settled_counter(JobState s) {
-    if (s == JobState::kDone) return completed_;
-    return s == JobState::kCancelled ? cancelled_ : failed_;
+    if (s == JobState::kDone) return counts_.completed;
+    return s == JobState::kCancelled ? counts_.cancelled : counts_.failed;
+  }
+  /// Counts one job entering the queue (a submit or a spool re-admission)
+  /// in its priority class.
+  void count_admission(std::int64_t priority) {
+    ++(priority > 0   ? counts_.admitted_prio_high
+       : priority < 0 ? counts_.admitted_prio_low
+                      : counts_.admitted_prio_normal);
   }
   void persist_spec(const JobRecord& rec);
   /// Spool the settled summary. False when the write failed (the job's
@@ -184,25 +191,14 @@ class SessionManager : public RequestHandler {
   std::map<std::uint64_t, std::unique_ptr<JobRecord>> records_;
   std::uint64_t next_id_ = 1;
 
-  // Counters (guarded by mu_).
-  std::uint64_t submitted_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t cancelled_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t quota_rejections_ = 0;
-  std::uint64_t resumed_ = 0;
+  /// The cumulative stats counters (guarded by mu_). stats() copies them
+  /// and fills in the live values: queue depth, running, inflight, slots,
+  /// cache and draining. shared_hits is the worker's snapshot after each
+  /// round: retired schedulers' totals plus the live one's.
+  ServiceStats counts_;
+  std::uint64_t retired_shared_hits_ = 0;
   /// Simulated GPU seconds consumed per client (quota accounting).
   std::map<std::string, double> quota_spent_;
-  // Per-priority-class admissions (jobs that entered the queue, including
-  // spool re-admissions): priority > 0, == 0, < 0.
-  std::uint64_t admitted_high_ = 0;
-  std::uint64_t admitted_normal_ = 0;
-  std::uint64_t admitted_low_ = 0;
-  // Cross-job in-round dedup (stats().shared_hits): retired schedulers'
-  // totals plus the live one's, snapshotted by the worker after each round.
-  std::uint64_t shared_hits_ = 0;
-  std::uint64_t retired_shared_hits_ = 0;
 
   // Worker-thread-only state (see threading model above).
   std::unique_ptr<tuning::Scheduler> scheduler_;

@@ -94,19 +94,11 @@ Trace run_session(Tuner& tuner, const searchspace::Task& task,
 }
 
 bool trace_decisions_identical(const Trace& a, const Trace& b) {
-  if (a.trials.size() != b.trials.size()) return false;
-  for (std::size_t i = 0; i < a.trials.size(); ++i) {
-    const TrialRecord& x = a.trials[i];
-    const TrialRecord& y = b.trials[i];
-    if (!(x.config == y.config && x.step == y.step &&
-          x.result.valid == y.result.valid && x.result.reason == y.result.reason &&
-          x.result.error == y.result.error &&
-          x.result.attempts == y.result.attempts &&
-          x.result.latency_s == y.result.latency_s &&
-          x.result.gflops == y.result.gflops && x.result.cost_s == y.result.cost_s))
-      return false;
-  }
-  return true;
+  return std::equal(a.trials.begin(), a.trials.end(), b.trials.begin(),
+                    b.trials.end(), [](const TrialRecord& x, const TrialRecord& y) {
+                      return x.config == y.config && x.step == y.step &&
+                             x.result == y.result;
+                    });
 }
 
 }  // namespace glimpse::tuning

@@ -29,13 +29,7 @@ struct TrialRecord {
   std::size_t step = 0;     ///< 0-based measurement index within the session
   double elapsed_s = 0.0;   ///< simulated seconds elapsed after this trial
 
-  friend bool operator==(const TrialRecord& a, const TrialRecord& b) {
-    return a.config == b.config && a.step == b.step && a.elapsed_s == b.elapsed_s &&
-           a.result.valid == b.result.valid && a.result.reason == b.result.reason &&
-           a.result.error == b.result.error && a.result.attempts == b.result.attempts &&
-           a.result.latency_s == b.result.latency_s &&
-           a.result.gflops == b.result.gflops && a.result.cost_s == b.result.cost_s;
-  }
+  friend bool operator==(const TrialRecord&, const TrialRecord&) = default;
 };
 
 /// Complete log of one tuning session.

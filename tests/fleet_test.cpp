@@ -288,6 +288,61 @@ TEST(FleetRouter, StatsAggregateAndDrainFansOut) {
   EXPECT_EQ(rejected.type, ResponseType::kRejected);
 }
 
+// Every stats field, not a sample: on an idle fleet the router's answer is
+// the shards' own stats with each counter summed and each flag OR-ed.
+TEST(FleetRouter, StatsSumEveryCounterAndOrEveryFlag) {
+  MiniFleet fleet("sum");
+  std::vector<std::uint64_t> ids;
+  for (std::int64_t priority : {5, 0, -5, 0}) {
+    Response acc = fleet.submit(
+        job_spec(kGpus[ids.size()], 1, 920 + ids.size(), 8), priority);
+    ASSERT_EQ(acc.type, ResponseType::kAccepted);
+    ids.push_back(acc.job_id);
+  }
+  for (std::uint64_t id : ids) fleet.result_wait(id);
+  // One shard draining and the other not makes the flags differ; submits
+  // routed to the draining shard count as rejections.
+  fleet.managers[0]->drain();
+  for (std::uint64_t seed = 930; seed < 934; ++seed) {
+    Response r = fleet.submit(job_spec("Titan Xp", 2, seed, 8));
+    if (r.type == ResponseType::kAccepted) fleet.result_wait(r.job_id);
+  }
+
+  Request sreq;
+  sreq.type = RequestType::kStats;
+  const Response routed = fleet.call_one(sreq);
+  ASSERT_EQ(routed.type, ResponseType::kStats);
+  const service::ServiceStats a = fleet.managers[0]->stats().stats;
+  const service::ServiceStats b = fleet.managers[1]->stats().stats;
+  const service::ServiceStats& r = routed.stats;
+  EXPECT_TRUE(a.draining);
+  EXPECT_FALSE(b.draining);
+#define EXPECT_SUMMED(f) EXPECT_EQ(r.f, a.f + b.f) << #f
+  EXPECT_SUMMED(queue_depth);
+  EXPECT_SUMMED(running);
+  EXPECT_SUMMED(jobs_inflight);
+  EXPECT_SUMMED(admitted_prio_high);
+  EXPECT_SUMMED(admitted_prio_normal);
+  EXPECT_SUMMED(admitted_prio_low);
+  EXPECT_SUMMED(submitted);
+  EXPECT_SUMMED(completed);
+  EXPECT_SUMMED(cancelled);
+  EXPECT_SUMMED(failed);
+  EXPECT_SUMMED(rejected);
+  EXPECT_SUMMED(quota_rejections);
+  EXPECT_SUMMED(resumed);
+  EXPECT_SUMMED(slots);
+  EXPECT_SUMMED(cache_hits);
+  EXPECT_SUMMED(cache_inserts);
+  EXPECT_SUMMED(shared_hits);
+#undef EXPECT_SUMMED
+  EXPECT_EQ(r.cache_enabled, a.cache_enabled || b.cache_enabled);
+  EXPECT_EQ(r.draining, a.draining || b.draining);
+  EXPECT_EQ(r.admitted_prio_high, 1u);
+  EXPECT_EQ(r.admitted_prio_low, 1u);
+  EXPECT_EQ(r.completed + r.rejected, 8u);
+}
+
 TEST(FleetRouter, SubscribeStreamsThroughWithRouterIds) {
   MiniFleet fleet("sub");
   // autotvm refits its surrogate every batch, slow enough (hundreds of ms)

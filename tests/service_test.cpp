@@ -1126,6 +1126,35 @@ TEST(ServiceServer, TcpEndToEnd) {
   server.stop();
 }
 
+// glimpse_client parses numbers strictly: a negative job id, an out-of-range
+// one, or a non-numeric --priority / --time-budget is a usage error (exit
+// 2) that never reaches the daemon, not a wrapped or zeroed value.
+TEST(ServiceClientCli, BadNumbersAreUsageErrors) {
+  const std::string sock = short_sock_path("cli");
+  SessionManager manager{SessionManagerOptions{}};
+  ServerOptions sopts;
+  sopts.unix_path = sock;
+  Server server(manager, sopts);
+  server.start();
+  const auto run = [&](const std::string& args) {
+    const std::string cmd = std::string(GLIMPSE_CLIENT_BIN) + " --unix " + sock +
+                            " " + args + " >/dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  EXPECT_EQ(run("status 999"), 1);  // well-formed: the daemon answers an error
+  EXPECT_EQ(run("status -1"), 2);
+  EXPECT_EQ(run("status 18446744073709551616"), 2);
+  EXPECT_EQ(run("cancel 3x"), 2);
+  EXPECT_EQ(run("submit --max-trials 1 --priority x"), 2);
+  EXPECT_EQ(run("submit --max-trials 1 --priority 1.5"), 2);
+  EXPECT_EQ(run("submit --max-trials 1 --time-budget x"), 2);
+  EXPECT_EQ(run("submit --max-trials 1 --time-budget -1"), 2);
+  EXPECT_EQ(run("submit --max-trials -1"), 2);
+  EXPECT_EQ(manager.stats().stats.submitted, 0u);
+  server.stop();
+}
+
 TEST(ServiceServer, UnixSocketAndTwoClients) {
   const std::string sock = short_sock_path("uds");
   SessionManagerOptions mopts;

@@ -13,6 +13,8 @@
 // the output is both readable and scriptable (pipe through python -m
 // json.tool for pretty-printing). Exit status: 0 on ok/accepted/settled-done
 // responses, 1 on error/rejected/failed, 2 on usage errors.
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -45,15 +47,20 @@ namespace {
   std::exit(2);
 }
 
+/// All of `s` as a T, parsed strictly with std::from_chars: no sign on an
+/// unsigned value, no whitespace, nothing trailing. Anything else is a usage
+/// error naming `what`.
+template <typename T>
+T parse_number(const std::string& s, const std::string& what) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) usage("bad " + what + " '" + s + "'");
+  return v;
+}
+
 std::uint64_t parse_id(const std::string& s) {
-  try {
-    std::size_t pos = 0;
-    unsigned long long v = std::stoull(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    usage("bad job id '" + s + "'");
-  }
+  return parse_number<std::uint64_t>(s, "job id");
 }
 
 int exit_code(const glimpse::service::Response& r) {
@@ -196,23 +203,30 @@ int main(int argc, char** argv) {
       std::int64_t priority = 0;
       JobSpec spec;
       bool wait = false;
+      const auto u64 = [&](const std::string& flag) {
+        return parse_number<std::uint64_t>(next(flag), flag);
+      };
       for (; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--client") name = next(arg);
-        else if (arg == "--priority") priority = std::atoll(next(arg).c_str());
+        else if (arg == "--priority")
+          priority = parse_number<std::int64_t>(next(arg), arg);
         else if (arg == "--tuner") spec.tuner = next(arg);
         else if (arg == "--model") spec.model = next(arg);
-        else if (arg == "--task") spec.task_index = parse_id(next(arg));
+        else if (arg == "--task") spec.task_index = u64(arg);
         else if (arg == "--gpu") spec.gpu = next(arg);
-        else if (arg == "--seed") spec.seed = parse_id(next(arg));
-        else if (arg == "--max-trials") spec.max_trials = parse_id(next(arg));
-        else if (arg == "--batch") spec.batch_size = parse_id(next(arg));
-        else if (arg == "--plateau") spec.plateau_trials = parse_id(next(arg));
-        else if (arg == "--time-budget") spec.time_budget_s = std::atof(next(arg).c_str());
+        else if (arg == "--seed") spec.seed = u64(arg);
+        else if (arg == "--max-trials") spec.max_trials = u64(arg);
+        else if (arg == "--batch") spec.batch_size = u64(arg);
+        else if (arg == "--plateau") spec.plateau_trials = u64(arg);
+        else if (arg == "--time-budget")
+          spec.time_budget_s = parse_number<double>(next(arg), arg);
         else if (arg == "--no-warmstart") spec.warmstart = false;
         else if (arg == "--wait") wait = true;
         else usage("unknown submit flag " + arg);
       }
+      if (!std::isfinite(spec.time_budget_s) || spec.time_budget_s < 0.0)
+        usage("--time-budget must be finite and non-negative");
       Response r = client.submit(name, priority, spec);
       std::cout << encode_response(r) << std::endl;
       explain_rejection(r);
